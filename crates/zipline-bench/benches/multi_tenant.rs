@@ -15,8 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use zipline_engine::tenant::{FlowEvent, FlowKey, FlowRouter, FlowRouterConfig};
 use zipline_engine::{EngineBuilder, EngineConfig, PipelinedStream, SpawnPolicy};
-use zipline_flow::{FlowKey, FlowRouter, FlowRouterConfig};
 use zipline_gd::GdConfig;
 use zipline_traces::{FlowChunk, ManyFlowsConfig, ManyFlowsWorkload};
 
@@ -122,10 +122,10 @@ fn bench_multi_tenant(c: &mut Criterion) {
     group.finish();
 }
 
-fn event_bytes(event: &zipline_flow::FlowEvent) -> u64 {
+fn event_bytes(event: &FlowEvent) -> u64 {
     match event {
-        zipline_flow::FlowEvent::Payload { bytes, .. } => bytes.len() as u64,
-        zipline_flow::FlowEvent::Control { .. } => 1,
+        FlowEvent::Payload { bytes, .. } => bytes.len() as u64,
+        FlowEvent::Control { .. } => 1,
     }
 }
 

@@ -1,13 +1,19 @@
-//! Client side of the wire protocol: one [`ClientSession`] per stream.
+//! Client side of the wire protocol: one [`ClientSession`] per connection.
 //!
 //! A session owns the socket's write half and a reader thread that parses
-//! server records into an event queue. The reader exits silently on EOF or
+//! server records into a queue the consumer drains as [`ServerEvent`]s. The reader exits silently on EOF or
 //! on a torn record — both present to the consumer as the event channel
 //! closing, which is exactly how a server crash looks to a client: only
 //! complete records count, the torn tail does not.
+//!
+//! The wire carries flows only. **Classic mode** — one unnamed stream per
+//! connection — is sugar kept on this side: [`ClientSession::hello`] opens
+//! tenant 0's flow `(0, stream_id)`, [`ClientSession::send_data`] and
+//! [`ClientSession::end`] address it, and its records surface as the
+//! un-keyed [`ServerEvent`] variants.
 
 use std::io::Write;
-use std::sync::mpsc::{self, Receiver, TryRecvError};
+use std::sync::mpsc::{self, Receiver};
 use std::thread::{self, JoinHandle};
 
 use zipline_engine::{CodecId, CodecRegistry, DictionaryUpdate, FlowKey};
@@ -16,7 +22,8 @@ use zipline_gd::packet::PacketType;
 use crate::error::{ServerError, ServerResult};
 use crate::net::{Conn, Endpoint};
 use crate::wire::{
-    ClientHello, DoneSummary, Record, RecordReader, ServerHello, WireCodec, WireError,
+    ClientHello, DoneSummary, Record, RecordReader, ResumeSummary, ServerHello, WireCodec,
+    WireError, UNNAMED_FLOW,
 };
 
 /// The codec ids this client can decode: everything in the standard
@@ -31,7 +38,7 @@ fn supported_codecs() -> Vec<CodecId> {
 pub enum ServerEvent {
     /// The server's hello (always the first event of a session).
     Hello(ServerHello),
-    /// One wire payload.
+    /// One wire payload of the classic stream.
     Payload {
         /// ZipLine packet type.
         packet_type: PacketType,
@@ -40,22 +47,22 @@ pub enum ServerEvent {
         /// Payload bytes.
         bytes: Vec<u8>,
     },
-    /// One committed dictionary update.
+    /// One committed dictionary update of the classic stream.
     Control(DictionaryUpdate),
-    /// One synthesized install (compacted-journal resync; advisory).
+    /// One synthesized install of the classic stream (compacted-journal
+    /// resync; advisory).
     Reseed(DictionaryUpdate),
-    /// Clean end of stream.
+    /// Clean end of the session: the totals across its finished flows.
     Done(DoneSummary),
     /// The server reported a failure; the connection is closing.
     ServerError(String),
-    /// One flow's resume plan (multiplexed connections; answers
-    /// [`ClientSession::open_flow`], delivered in order with the flow's
-    /// replay/reseed records).
+    /// One flow's resume plan (answers [`ClientSession::open_flow`],
+    /// delivered in order with the flow's replay/reseed records).
     FlowOpened {
         /// The opened flow.
         key: FlowKey,
         /// The flow's resume plan.
-        resume: ServerHello,
+        resume: ResumeSummary,
     },
     /// One wire payload of one flow.
     FlowPayload {
@@ -91,12 +98,14 @@ pub enum ServerEvent {
     },
 }
 
-/// A connected client stream.
+/// A connected client session.
 pub struct ClientSession {
     conn: Conn,
     codec: WireCodec,
-    events: Receiver<ServerEvent>,
+    records: Receiver<Record>,
     reader: Option<JoinHandle<Result<(), WireError>>>,
+    /// The flow [`Self::hello`] opened; its events surface un-keyed.
+    classic: Option<FlowKey>,
 }
 
 impl ClientSession {
@@ -113,52 +122,7 @@ impl ClientSession {
                 loop {
                     match reader.read_record() {
                         Ok(Some(record)) => {
-                            let event = match record {
-                                Record::ServerHello(h) => ServerEvent::Hello(h),
-                                Record::Payload {
-                                    packet_type,
-                                    codec,
-                                    bytes,
-                                } => ServerEvent::Payload {
-                                    packet_type,
-                                    codec,
-                                    bytes,
-                                },
-                                Record::Control(update) => ServerEvent::Control(update),
-                                Record::Reseed(update) => ServerEvent::Reseed(update),
-                                Record::Done(done) => ServerEvent::Done(done),
-                                Record::Error(message) => ServerEvent::ServerError(message),
-                                Record::FlowOpened { key, resume } => {
-                                    ServerEvent::FlowOpened { key, resume }
-                                }
-                                Record::FlowPayload {
-                                    key,
-                                    packet_type,
-                                    codec,
-                                    bytes,
-                                } => ServerEvent::FlowPayload {
-                                    key,
-                                    packet_type,
-                                    codec,
-                                    bytes,
-                                },
-                                Record::FlowControl { key, update } => {
-                                    ServerEvent::FlowControl { key, update }
-                                }
-                                Record::FlowReseed { key, update } => {
-                                    ServerEvent::FlowReseed { key, update }
-                                }
-                                Record::FlowDone { key, summary } => {
-                                    ServerEvent::FlowDone { key, summary }
-                                }
-                                other => {
-                                    return Err(WireError::Malformed(format!(
-                                        "server sent a client-side record: {}",
-                                        other.kind_name()
-                                    )))
-                                }
-                            };
-                            if tx.send(event).is_err() {
+                            if tx.send(record).is_err() {
                                 return Ok(());
                             }
                         }
@@ -171,8 +135,9 @@ impl ClientSession {
         Ok(Self {
             conn,
             codec: WireCodec::new(),
-            events: rx,
+            records: rx,
             reader: Some(reader),
+            classic: None,
         })
     }
 
@@ -186,44 +151,64 @@ impl ClientSession {
             .map_err(|e| ServerError::io("flushing socket", e))
     }
 
-    /// Opens the stream: sends `CLIENT_HELLO` and waits for the server's
-    /// answer. `entries_held` is the replay cursor — payload + control
-    /// records this client already holds from the stream's current journal
-    /// epoch (0 for a fresh stream or after a clean `Done`).
-    pub fn hello(&mut self, stream_id: u64, entries_held: u64) -> ServerResult<ServerHello> {
-        let mut hello = ClientHello::new(stream_id, entries_held);
-        hello.codecs = supported_codecs();
-        self.hello_record(hello)
-    }
-
-    /// Opens a **multiplexed** connection: the server acknowledges with a
-    /// connection-level hello, then every flow opens individually via
-    /// [`Self::open_flow`].
-    pub fn hello_multiplex(&mut self) -> ServerResult<ServerHello> {
-        let mut hello = ClientHello::new(0, 0);
-        hello.multiplex = true;
-        hello.codecs = supported_codecs();
-        self.hello_record(hello)
-    }
-
-    fn hello_record(&mut self, hello: ClientHello) -> ServerResult<ServerHello> {
-        self.send(&Record::ClientHello(hello))?;
-        match self.events.recv() {
-            Ok(ServerEvent::Hello(hello)) => Ok(hello),
-            Ok(ServerEvent::ServerError(message)) => Err(ServerError::Remote(message)),
-            Ok(other) => Err(ServerError::Protocol(format!(
-                "expected SERVER_HELLO, got {other:?}"
-            ))),
+    /// Blocks for the server's answer to a request: its `ERROR` record and
+    /// a disconnect both become errors.
+    fn reply(&mut self) -> ServerResult<Record> {
+        match self.records.recv() {
+            Ok(Record::Error(message)) => Err(ServerError::Remote(message)),
+            Ok(record) => Ok(record),
             Err(_) => Err(ServerError::Disconnected),
         }
     }
 
-    /// Opens one flow on a multiplexed connection. Does **not** block: the
-    /// server's [`ServerEvent::FlowOpened`] answer arrives in order with
-    /// the flow's replay/reseed records, so consuming the event stream
-    /// observes the resume plan strictly before the flow's data.
+    /// Opens the session: sends `CLIENT_HELLO` (advertising every codec the
+    /// standard registry decodes) and waits for the server's answer. Flows
+    /// then open individually via [`Self::open_flow`].
+    pub fn hello_multiplex(&mut self) -> ServerResult<ServerHello> {
+        self.send(&Record::ClientHello(ClientHello {
+            codecs: supported_codecs(),
+        }))?;
+        match self.reply()? {
+            Record::ServerHello(hello) => Ok(hello),
+            other => Err(ServerError::Protocol(format!(
+                "expected SERVER_HELLO, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+
+    /// Opens a **classic** session: the hello exchange, then tenant 0's
+    /// flow `stream_id`, returning that flow's resume plan. `entries_held`
+    /// is the replay cursor — payload + control records this client already
+    /// holds from the stream's current journal epoch (0 for a fresh stream
+    /// or after a clean `Done`). From here on the flow's records surface as
+    /// the un-keyed [`ServerEvent`] variants and its `FLOW_DONE` is folded
+    /// into the session's `Done`.
+    pub fn hello(&mut self, stream_id: u64, entries_held: u64) -> ServerResult<ResumeSummary> {
+        self.hello_multiplex()?;
+        let key = FlowKey::new(0, stream_id);
+        self.open_flow(key, entries_held)?;
+        match self.reply()? {
+            Record::Opened {
+                key: opened,
+                resume,
+            } if opened == key => {
+                self.classic = Some(key);
+                Ok(resume)
+            }
+            other => Err(ServerError::Protocol(format!(
+                "expected OPENED for {key}, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+
+    /// Opens one flow. Does **not** block: the server's
+    /// [`ServerEvent::FlowOpened`] answer arrives in order with the flow's
+    /// replay/reseed records, so consuming the event stream observes the
+    /// resume plan strictly before the flow's data.
     pub fn open_flow(&mut self, key: FlowKey, entries_held: u64) -> ServerResult<()> {
-        self.send(&Record::FlowOpen { key, entries_held })
+        self.send(&Record::Open { key, entries_held })
     }
 
     /// Sends one input record for `key`'s flow.
@@ -231,39 +216,94 @@ impl ClientSession {
         let frame = self.codec.encode_flow_data(key, bytes);
         self.conn
             .write_all(&frame)
-            .map_err(|e| ServerError::io("sending FLOW_DATA", e))
+            .map_err(|e| ServerError::io("sending DATA", e))
     }
 
     /// Ends `key`'s flow cleanly; the server drains, commits and sends the
     /// flow's [`ServerEvent::FlowDone`].
     pub fn end_flow(&mut self, key: FlowKey) -> ServerResult<()> {
-        self.send(&Record::FlowEnd { key })
+        self.send(&Record::EndFlow { key })
     }
 
-    /// Sends one input record for the engine.
+    /// Sends one input record for the classic stream (before any classic
+    /// hello named one: for the unnamed flow `(0, 0)`).
     pub fn send_data(&mut self, bytes: &[u8]) -> ServerResult<()> {
-        let frame = self.codec.encode_data(bytes);
-        self.conn
-            .write_all(&frame)
-            .map_err(|e| ServerError::io("sending DATA", e))
+        self.send_flow_data(self.classic.unwrap_or(UNNAMED_FLOW), bytes)
     }
 
-    /// Ends the stream cleanly; the server drains, commits and sends `Done`.
+    /// Ends the session cleanly — the classic stream first, when there is
+    /// one; the server drains, commits and sends `Done`.
     pub fn end(&mut self) -> ServerResult<()> {
+        if let Some(key) = self.classic {
+            self.end_flow(key)?;
+        }
         self.send(&Record::End)
+    }
+
+    /// One server record as the event the consumer sees: the classic flow's
+    /// records lose their key, and its `OPENED`/`FLOW_DONE` bookends are
+    /// swallowed (`None`).
+    fn event_of(&self, record: Record) -> Option<ServerEvent> {
+        let classic = |key| self.classic == Some(key);
+        Some(match record {
+            Record::ServerHello(hello) => ServerEvent::Hello(hello),
+            Record::Opened { key, .. } | Record::FlowDone { key, .. } if classic(key) => {
+                return None
+            }
+            Record::Opened { key, resume } => ServerEvent::FlowOpened { key, resume },
+            Record::FlowDone { key, summary } => ServerEvent::FlowDone { key, summary },
+            Record::Payload {
+                key,
+                packet_type,
+                codec,
+                bytes,
+            } if classic(key) => ServerEvent::Payload {
+                packet_type,
+                codec,
+                bytes,
+            },
+            Record::Payload {
+                key,
+                packet_type,
+                codec,
+                bytes,
+            } => ServerEvent::FlowPayload {
+                key,
+                packet_type,
+                codec,
+                bytes,
+            },
+            Record::Control { key, update } if classic(key) => ServerEvent::Control(update),
+            Record::Control { key, update } => ServerEvent::FlowControl { key, update },
+            Record::Reseed { key, update } if classic(key) => ServerEvent::Reseed(update),
+            Record::Reseed { key, update } => ServerEvent::FlowReseed { key, update },
+            Record::Done(done) => ServerEvent::Done(done),
+            Record::Error(message) => ServerEvent::ServerError(message),
+            other => ServerEvent::ServerError(format!(
+                "server sent a client-side record: {}",
+                other.kind_name()
+            )),
+        })
     }
 
     /// Blocks for the next server event; `None` means the connection closed
     /// (only complete records were delivered).
     pub fn next_event(&mut self) -> Option<ServerEvent> {
-        self.events.recv().ok()
+        loop {
+            let record = self.records.recv().ok()?;
+            if let Some(event) = self.event_of(record) {
+                return Some(event);
+            }
+        }
     }
 
     /// Non-blocking poll for a server event.
     pub fn try_event(&mut self) -> Option<ServerEvent> {
-        match self.events.try_recv() {
-            Ok(event) => Some(event),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
+        loop {
+            let record = self.records.try_recv().ok()?;
+            if let Some(event) = self.event_of(record) {
+                return Some(event);
+            }
         }
     }
 
@@ -290,7 +330,7 @@ impl ClientSession {
     pub fn close(mut self) -> Vec<ServerEvent> {
         self.conn.shutdown(std::net::Shutdown::Write);
         let mut tail = Vec::new();
-        while let Ok(event) = self.events.recv() {
+        while let Some(event) = self.next_event() {
             tail.push(event);
         }
         if let Some(handle) = self.reader.take() {

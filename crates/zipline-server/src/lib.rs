@@ -4,7 +4,7 @@
 //! The paper compresses live traffic on the host/NIC path; everything below
 //! this crate compresses in-process iterators. This crate puts the engine
 //! behind a socket: clients stream raw records over TCP or a Unix-domain
-//! socket, the server drives one pipelined engine per connection, and the
+//! socket, the server drives one pipelined engine per flow, and the
 //! compressed wire payloads (with the in-band control updates that keep a
 //! decoder live-synced) stream back in order.
 //!
@@ -13,42 +13,46 @@
 //! Both directions speak length-prefixed, CRC-tagged records — the exact
 //! record discipline of the durable store's on-disk logs (`len:u32le ·
 //! kind:u8+body · crc32`, CRC-32 polynomial `0x04C1_1DB7` over the
-//! payload). A connection serves one stream by default: `CLIENT_HELLO`
-//! (stream id + replay cursor) → `SERVER_HELLO` (resume offset +
+//! payload). There is one session shape (wire v4): `CLIENT_HELLO` (codec
+//! set) → `SERVER_HELLO`, then any number of interleaved **flows**, each
+//! `OPEN` (flow key + replay cursor) → `OPENED` (resume offset +
 //! replay/reseed counts) → replayed journal entries (after a crash) →
-//! `DATA`* → `END` → `DONE`. Full field layouts live in [`wire`].
+//! `DATA`* → `END_FLOW` → `FLOW_DONE`, and finally `END` → `DONE`. Every
+//! flow-scoped record carries its [`FlowKey`] and every payload the id of
+//! the codec that compressed it (0 = the flow's fixed backend). Full field
+//! layouts live in [`wire`]; the state machine is [`session::Session`].
 //!
-//! # Multiplexed flows (the PR-9 layer)
+//! # Flows and the classic single stream
 //!
-//! A `CLIENT_HELLO` with the multiplex flag upgrades the connection to
-//! carry **many tenant-scoped flows over one socket**: `FLOW_OPEN` places a
-//! flow onto its tenant's partition pool (own engine, own dictionary
-//! namespace, own `tenant-<id>/stream-<id>` durable directory via the
-//! `zipline-flow` router), `FLOW_DATA` routes input by flow key, and every
-//! response leaves flow-tagged (`FLOW_OPENED`/`FLOW_PAYLOAD`/
-//! `FLOW_CONTROL`/`FLOW_RESEED`/`FLOW_DONE`) so one client decoder pool
-//! tracks the interleaved streams independently — one tenant's dictionary
-//! churn never perturbs another's decoder. Per flow the byte stream is
-//! bit-identical to a dedicated single-stream connection, resume included.
+//! `OPEN` places a flow onto its tenant's partition pool (own engine, own
+//! dictionary namespace, own `tenant-<id>/stream-<id>` durable directory
+//! via [`zipline_engine::tenant`]'s router), so one client decoder pool
+//! tracks many interleaved streams independently — one tenant's dictionary
+//! churn never perturbs another's decoder. A classic one-stream-per-
+//! connection client is a session holding exactly one flow, tenant 0's
+//! `(0, stream_id)`; [`ClientSession::hello`] keeps that shape as sugar on
+//! the client side only. Per flow the byte stream is bit-identical to an
+//! in-process pipelined engine over the same configuration, resume
+//! included.
 //!
 //! # Durable resume (the PR-6 loop, closed)
 //!
-//! With [`ServerConfig::durable`], each stream journals under its own
+//! With [`ServerConfig::durable`], each flow journals under its own
 //! directory. A server killed mid-stream restarts warm: the client
-//! reconnects with the count of records it already received this epoch
+//! reopens the flow with the count of records it already received this epoch
 //! (`entries_held`), the server replays the committed journal past that
 //! cursor and names the input byte offset to resume from — and because
 //! commits cut at whole-batch boundaries, checkpoint cadence 1 restores
 //! exactly, and GD output is a pure function of `(data, shard count, batch
 //! size)`, the concatenation of pre-crash and post-restart records is
 //! **bit-identical** to an uninterrupted run (proven by
-//! `tests/crash_restart.rs`). After a clean `DONE` the journal compacts and
+//! `tests/crash_restart.rs`). After a clean `FLOW_DONE` the journal compacts and
 //! the cursor resets; a later cold client is resynced by synthesized
 //! `RESEED` installs instead of replay.
 //!
 //! # Backpressure and ordering
 //!
-//! Per connection, one reader thread feeds the engine and one writer
+//! Per connection, one reader thread feeds the session and one writer
 //! thread drains a bounded queue of pre-framed responses; ordering is total
 //! (control updates precede the payloads that depend on them) and a slow
 //! client backpressures the server instead of growing a buffer — the rules
@@ -69,6 +73,7 @@ pub mod histogram;
 pub mod load;
 mod net;
 pub mod server;
+pub mod session;
 pub mod wire;
 
 pub use client::{ClientSession, ServerEvent};
@@ -78,10 +83,10 @@ pub use load::{run_closed_loop, run_multiplexed, LoadConfig, LoadReport, TenantL
 pub use net::Endpoint;
 pub use server::{
     stream_dir, BackendChoice, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
-    StatsSnapshot,
 };
+pub use session::{Session, SessionRegistry, StatsSnapshot};
 pub use wire::{
-    ClientHello, DoneSummary, Record, RecordReader, ServerHello, WireCodec, WireError,
-    MAX_WIRE_RECORD_BYTES, MIN_WIRE_VERSION, WIRE_VERSION,
+    ClientHello, DoneSummary, Record, RecordReader, ResumeSummary, ServerHello, WireCodec,
+    WireError, MAX_WIRE_RECORD_BYTES, WIRE_VERSION,
 };
-pub use zipline_flow::{FlowDecoderPool, FlowKey};
+pub use zipline_engine::tenant::{FlowDecoderPool, FlowKey};

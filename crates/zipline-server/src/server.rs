@@ -1,94 +1,64 @@
-//! The ingest server: accept loop, per-connection pipelined streams, the
-//! ordered response writer, and graceful shutdown.
+//! The ingest server: accept loop, the per-connection shell around a
+//! [`Session`], the ordered response writer, and graceful shutdown.
 //!
 //! # Connection lifecycle
 //!
-//! An accepted connection serves either **one stream** (the classic path)
-//! or, when the client's hello sets the multiplex flag, **many flows over
-//! one socket** (the [`zipline_flow`] path):
-//!
-//! 1. The client opens with `CLIENT_HELLO` (stream id + replay cursor).
-//! 2. The server builds one engine for the stream — durable under
-//!    `<root>/tenant-<id>/stream-<id>` when [`HostPathConfig::durable`] is
-//!    set — answers with `SERVER_HELLO`, replays any committed journal
-//!    entries past the client's cursor, and streams synthesized `RESEED`
-//!    installs when the journal was compacted away.
-//! 3. `DATA` records feed a [`PipelinedStream`]; every emitted payload and
-//!    control update is framed and handed to the **ordered writer** (below).
-//! 4. `END` (or a graceful server shutdown) drains in-flight batches,
-//!    commits, compacts the journal, and answers with `DONE`.
-//!
-//! # Multiplexed connections
-//!
-//! With the multiplex flag, the connection carries a [`FlowRouter`]: every
-//! `FLOW_OPEN` places one flow onto its tenant's partition pool (own engine,
-//! own dictionary namespace, own durable directory), `FLOW_DATA` records
-//! route by flow key, and every emission leaves flow-tagged
-//! (`FLOW_PAYLOAD`/`FLOW_CONTROL`). The single ordered writer preserves each
-//! flow's controls-strictly-before-dependent-payloads invariant because the
-//! router drains emissions in order. `FLOW_END` finishes one flow
-//! (`FLOW_DONE` answers); connection `END` or a graceful shutdown finishes
-//! the remaining flows in sorted key order and answers with an aggregate
-//! `DONE`. Flow keys live in the same server-wide active set as classic
-//! streams (which occupy tenant 0), so a flow can be served by at most one
-//! connection at a time.
+//! Every accepted connection is served the same way: a handler thread reads
+//! wire records off the socket and feeds them, one at a time, to a
+//! sans-I/O [`Session`] — the protocol state machine, documented in
+//! [`crate::session`] — and hands the frames it answers with to the
+//! **ordered writer** (below). A session carries any number of
+//! tenant-scoped flows; a classic single-stream client is simply a session
+//! with one flow, tenant 0's `(0, stream_id)`. Flow keys live in one
+//! server-wide active set, so a flow is served by at most one connection
+//! at a time.
 //!
 //! # Ordered writer and backpressure
 //!
 //! Each connection owns one writer thread fed by a bounded
-//! [`sync_channel`](std::sync::mpsc::sync_channel) of pre-framed records
-//! ([`ServerConfig::writer_depth`] frames deep). Frames enter the channel in
-//! emission order from a single producer (the engine sinks run on the
-//! handler thread), so responses are **totally ordered** — a control update
+//! [`sync_channel`](std::sync::mpsc::sync_channel) of response bursts — the
+//! frames one input record provoked, back to back in one buffer
+//! ([`ServerConfig::writer_depth`] bursts deep). Bursts enter the channel in
+//! emission order from a single producer (the session runs on the handler
+//! thread), so responses are **totally ordered** — a control update
 //! always reaches the socket before the payload that depends on it. When
 //! the client stops reading, the channel fills and sends block, which in
 //! turn blocks the reader loop: backpressure propagates to the client's
 //! sender instead of buffering unboundedly. A dead client (write failure)
-//! trips the writer's failure flag; the handler notices at the next push
-//! and abandons the stream instead of compressing into the void.
+//! trips the writer's failure flag; the handler notices after the next
+//! record and abandons the session instead of compressing into the void.
 //!
 //! # Shutdown semantics
 //!
 //! [`ServerHandle::shutdown`] is **graceful**: the listener stops accepting,
-//! each connection's read half closes, and every in-flight stream finishes
+//! each connection's read half closes, and every in-flight session finishes
 //! exactly as if the client had sent `END` — in-flight batches drain,
-//! the tail commits, `DONE` (with `server_initiated = true`) reaches the
-//! client. [`ServerHandle::abort`] is a **crash**: sockets close both ways
-//! and streams drop without finishing — durable state cuts at the last
-//! commit boundary, which is precisely the state a killed process leaves
-//! behind, so tests use it to exercise warm restarts.
+//! the tails commit, every open flow gets its `FLOW_DONE` and the session
+//! its `DONE` (with `server_initiated = true`). [`ServerHandle::abort`] is
+//! a **crash**: sockets close both ways and sessions drop without finishing
+//! — durable state cuts at the last commit boundary, which is precisely the
+//! state a killed process leaves behind, so tests use it to exercise warm
+//! restarts.
 
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::io::Write;
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use zipline::host::HostPathConfig;
+use zipline_engine::tenant::{flow_dir, FlowKey};
 use zipline_engine::{
-    AutoBackend, CodecCursor, CodecId, CommittedEntry, CompressionBackend, CompressionEngine,
-    DeflateBackend, DictionaryUpdate, EngineError, GdBackend, HybridGdDeflateBackend,
-    PipelinedStream, StreamSummary, SyncPolicy,
+    AutoBackend, CompressionBackend, DeflateBackend, GdBackend, HybridGdDeflateBackend, SyncPolicy,
 };
-use zipline_flow::{flow_dir, FlowError, FlowEvent, FlowKey, FlowRouter, FlowRouterConfig};
-use zipline_gd::packet::PacketType;
 
 use crate::error::{ServerError, ServerResult};
 use crate::net::{Conn, Endpoint, Listener};
-use crate::wire::{
-    ClientHello, DoneSummary, Record, RecordReader, ServerHello, WireCodec, WireError, WIRE_VERSION,
-};
-
-/// Boxed payload sink handed to the pipelined stream.
-type PayloadSink = Box<dyn FnMut(PacketType, &[u8])>;
-/// Boxed control sink handed to the pipelined stream.
-type ControlSink = Box<dyn FnMut(&DictionaryUpdate)>;
+use crate::session::{lock_unpoisoned, Session, SessionRegistry, StatsSnapshot};
+use crate::wire::{Record, RecordReader, WireCodec, WireError};
 
 /// Which compression backend the server builds for every stream, selected
 /// by name from the codec registry (plus the `auto` router, which has no
@@ -102,8 +72,8 @@ pub enum BackendChoice {
     Deflate,
     /// GD first, gzip the residue — one container per batch; registry id 4.
     Hybrid,
-    /// Per-batch sampling router over GD and deflate; emissions carry
-    /// per-batch codec tags, so `auto` requires a wire-v3 peer.
+    /// Per-batch sampling router over GD and deflate; every payload carries
+    /// the codec id that compressed its batch.
     Auto,
 }
 
@@ -144,13 +114,14 @@ impl std::fmt::Display for BackendChoice {
 /// [`Self::paper_default`]/[`Self::durable`] shorthands.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Engine/host configuration applied to every stream. When
+    /// Engine/host configuration applied to every flow. When
     /// [`HostPathConfig::durable`] is set it names the *root* directory;
-    /// each stream journals under `stream-<id16>` below it. A `None`
+    /// each flow journals under `tenant-<id16>/stream-<id16>` below it. A `None`
     /// [`HostPathConfig::pipeline_depth`] is promoted to `Some(2)` — the
     /// server path is pipelined by construction.
     pub host: HostPathConfig,
-    /// Bound of the per-connection ordered writer, in framed records.
+    /// Bound of the per-connection ordered writer, in response bursts (the
+    /// frames one input record provoked).
     pub writer_depth: usize,
     /// Backend every stream engine is built over.
     pub backend: BackendChoice,
@@ -170,16 +141,6 @@ impl ServerConfig {
         ServerConfigBuilder::new()
             .store_root(dir)
             .finish_unchecked()
-    }
-
-    /// Wraps an explicit host configuration (pipelining promoted, see
-    /// [`Self::host`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ServerConfigBuilder (validated, names every knob); remove in 0.2.0"
-    )]
-    pub fn from_host(host: HostPathConfig) -> Self {
-        ServerConfigBuilder::new().host(host).finish_unchecked()
     }
 }
 
@@ -252,7 +213,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Bound of the per-connection ordered writer, in framed records.
+    /// Bound of the per-connection ordered writer, in response bursts.
     pub fn writer_depth(mut self, depth: usize) -> Self {
         self.writer_depth = depth;
         self
@@ -296,76 +257,10 @@ impl ServerConfigBuilder {
     }
 }
 
-/// Durable directory of one classic (single-stream-per-connection) stream
-/// under the configured root. Classic streams occupy tenant 0 of the
-/// tenant-scoped layout, so a stream created before multiplexing can be
-/// reopened as tenant 0's flow of the same id and vice versa.
+/// Durable directory of the classic stream `stream_id` under the configured
+/// root: tenant 0's flow of that id in the tenant-scoped layout.
 pub fn stream_dir(root: &Path, stream_id: u64) -> PathBuf {
     flow_dir(root, FlowKey::new(0, stream_id))
-}
-
-/// Monotonic counters the server keeps; snapshot via [`ServerHandle::stats`].
-#[derive(Debug, Default)]
-struct ServerStats {
-    connections: AtomicU64,
-    streams_completed: AtomicU64,
-    records_in: AtomicU64,
-    bytes_in: AtomicU64,
-    payloads_out: AtomicU64,
-    controls_out: AtomicU64,
-    bytes_out: AtomicU64,
-    replayed_entries: AtomicU64,
-    failed_streams: AtomicU64,
-}
-
-/// Point-in-time copy of the server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Streams that reached `DONE`.
-    pub streams_completed: u64,
-    /// `DATA` records consumed.
-    pub records_in: u64,
-    /// `DATA` bytes consumed.
-    pub bytes_in: u64,
-    /// Payload records emitted (replay included).
-    pub payloads_out: u64,
-    /// Control + reseed records emitted (replay included).
-    pub controls_out: u64,
-    /// Framed bytes put on sockets.
-    pub bytes_out: u64,
-    /// Journal entries replayed to reconnecting clients.
-    pub replayed_entries: u64,
-    /// Streams that ended in an error (aborted streams excluded).
-    pub failed_streams: u64,
-}
-
-impl ServerStats {
-    fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            streams_completed: self.streams_completed.load(Ordering::Relaxed),
-            records_in: self.records_in.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            payloads_out: self.payloads_out.load(Ordering::Relaxed),
-            controls_out: self.controls_out.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            replayed_entries: self.replayed_entries.load(Ordering::Relaxed),
-            failed_streams: self.failed_streams.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Locks a mutex, recovering the data even when another thread panicked
-/// while holding it. The protected registries (connection list, error log,
-/// active-stream set) stay consistent under item-level mutation, so a
-/// handler's panic must not wedge shutdown or error reporting for the
-/// whole server.
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// State shared between the accept loop, the handlers and the handle.
@@ -373,8 +268,7 @@ struct Shared {
     config: ServerConfig,
     stop: AtomicBool,
     abort: AtomicBool,
-    stats: ServerStats,
-    active_streams: Mutex<HashSet<FlowKey>>,
+    registry: Arc<SessionRegistry>,
     conns: Mutex<Vec<(Conn, JoinHandle<()>)>>,
     errors: Mutex<Vec<String>>,
 }
@@ -384,7 +278,7 @@ struct Shared {
 pub struct ServerReport {
     /// Final counter values.
     pub stats: StatsSnapshot,
-    /// Human-readable per-stream failures (empty on a clean run).
+    /// Human-readable per-session failures (empty on a clean run).
     pub errors: Vec<String>,
 }
 
@@ -399,62 +293,38 @@ impl ServerHandle {
     /// Binds a TCP listener and starts serving over the configured
     /// [`BackendChoice`].
     pub fn bind_tcp(addr: impl ToSocketAddrs, config: ServerConfig) -> ServerResult<Self> {
-        match config.backend {
-            BackendChoice::Gd => Self::bind_tcp_with::<GdBackend>(addr, config),
-            BackendChoice::Deflate => Self::bind_tcp_with::<DeflateBackend>(addr, config),
-            BackendChoice::Hybrid => Self::bind_tcp_with::<HybridGdDeflateBackend>(addr, config),
-            BackendChoice::Auto => Self::bind_tcp_with::<AutoBackend>(addr, config),
-        }
-    }
-
-    /// Binds a TCP listener serving engines over backend `B`.
-    pub fn bind_tcp_with<B>(addr: impl ToSocketAddrs, config: ServerConfig) -> ServerResult<Self>
-    where
-        B: CompressionBackend + Send + 'static,
-    {
-        Self::start::<B>(Listener::bind_tcp(addr)?, config)
+        Self::start(Listener::bind_tcp(addr)?, config)
     }
 
     /// Binds a Unix-domain listener and starts serving over the configured
     /// [`BackendChoice`].
     #[cfg(unix)]
     pub fn bind_uds(path: impl Into<PathBuf>, config: ServerConfig) -> ServerResult<Self> {
-        match config.backend {
-            BackendChoice::Gd => Self::bind_uds_with::<GdBackend>(path, config),
-            BackendChoice::Deflate => Self::bind_uds_with::<DeflateBackend>(path, config),
-            BackendChoice::Hybrid => Self::bind_uds_with::<HybridGdDeflateBackend>(path, config),
-            BackendChoice::Auto => Self::bind_uds_with::<AutoBackend>(path, config),
-        }
+        Self::start(Listener::bind_unix(path)?, config)
     }
 
-    /// Binds a Unix-domain listener serving engines over backend `B`.
-    #[cfg(unix)]
-    pub fn bind_uds_with<B>(path: impl Into<PathBuf>, config: ServerConfig) -> ServerResult<Self>
-    where
-        B: CompressionBackend + Send + 'static,
-    {
-        Self::start::<B>(Listener::bind_unix(path)?, config)
-    }
-
-    fn start<B>(listener: Listener, config: ServerConfig) -> ServerResult<Self>
-    where
-        B: CompressionBackend + Send + 'static,
-    {
+    fn start(listener: Listener, config: ServerConfig) -> ServerResult<Self> {
         let endpoint = listener.endpoint()?;
         listener.set_nonblocking(true)?;
+        // The one place the backend name becomes a type.
+        let handler: fn(Arc<Shared>, Conn) = match config.backend {
+            BackendChoice::Gd => handle_connection::<GdBackend>,
+            BackendChoice::Deflate => handle_connection::<DeflateBackend>,
+            BackendChoice::Hybrid => handle_connection::<HybridGdDeflateBackend>,
+            BackendChoice::Auto => handle_connection::<AutoBackend>,
+        };
         let shared = Arc::new(Shared {
             config,
             stop: AtomicBool::new(false),
             abort: AtomicBool::new(false),
-            stats: ServerStats::default(),
-            active_streams: Mutex::new(HashSet::new()),
+            registry: Arc::new(SessionRegistry::default()),
             conns: Mutex::new(Vec::new()),
             errors: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = thread::Builder::new()
             .name("zipline-accept".into())
-            .spawn(move || accept_loop::<B>(accept_shared, listener))
+            .spawn(move || accept_loop(accept_shared, listener, handler))
             .map_err(|e| ServerError::io("spawning accept thread", e))?;
         Ok(Self {
             shared,
@@ -470,16 +340,16 @@ impl ServerHandle {
 
     /// Snapshot of the server counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.shared.registry.stats()
     }
 
-    /// Graceful shutdown: stop accepting, end every in-flight stream as if
+    /// Graceful shutdown: stop accepting, end every in-flight session as if
     /// the client had sent `END` (drain, commit, `DONE`), join everything.
     pub fn shutdown(mut self) -> ServerReport {
         self.close(false)
     }
 
-    /// Hard abort: close every socket both ways and drop in-flight streams
+    /// Hard abort: close every socket both ways and drop in-flight sessions
     /// without finishing — durable state cuts at the last commit boundary,
     /// exactly like a process kill.
     pub fn abort(mut self) -> ServerReport {
@@ -495,8 +365,8 @@ impl ServerHandle {
             drop(handle.join());
         }
         // Accept loop has exited, so the registry is complete. Unblock every
-        // handler: half-close for graceful (reader sees EOF, stream finishes),
-        // full close for abort.
+        // handler: half-close for graceful (reader sees EOF, session
+        // finishes), full close for abort.
         let conns = {
             let mut guard = lock_unpoisoned(&self.shared.conns);
             std::mem::take(&mut *guard)
@@ -513,7 +383,7 @@ impl ServerHandle {
             drop(handle.join());
         }
         ServerReport {
-            stats: self.shared.stats.snapshot(),
+            stats: self.shared.registry.stats(),
             errors: std::mem::take(&mut *lock_unpoisoned(&self.shared.errors)),
         }
     }
@@ -527,14 +397,11 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop<B>(shared: Arc<Shared>, listener: Listener)
-where
-    B: CompressionBackend + Send + 'static,
-{
+fn accept_loop(shared: Arc<Shared>, listener: Listener, handler: fn(Arc<Shared>, Conn)) {
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok(Some(conn)) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                shared.registry.connections.fetch_add(1, Ordering::Relaxed);
                 let registered = match conn.try_clone() {
                     Ok(clone) => clone,
                     Err(_) => continue,
@@ -542,7 +409,7 @@ where
                 let handler_shared = Arc::clone(&shared);
                 let spawned = thread::Builder::new()
                     .name("zipline-conn".into())
-                    .spawn(move || handle_connection::<B>(handler_shared, conn));
+                    .spawn(move || handler(handler_shared, conn));
                 match spawned {
                     Ok(handle) => {
                         let mut conns = lock_unpoisoned(&shared.conns);
@@ -564,102 +431,11 @@ where
     }
 }
 
-/// Connection-scoped claim on flow keys in the server-wide active set:
-/// every key registered here is released on every exit path, so a dead
-/// connection never wedges its flows.
-struct FlowSetGuard {
-    shared: Arc<Shared>,
-    keys: Vec<FlowKey>,
-}
-
-impl FlowSetGuard {
-    fn new(shared: Arc<Shared>) -> Self {
-        Self {
-            shared,
-            keys: Vec::new(),
-        }
-    }
-
-    /// Claims `key`; false when another connection is already serving it.
-    fn register(&mut self, key: FlowKey) -> bool {
-        if lock_unpoisoned(&self.shared.active_streams).insert(key) {
-            self.keys.push(key);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Releases `key` early (its flow finished while the connection lives).
-    fn release(&mut self, key: FlowKey) {
-        lock_unpoisoned(&self.shared.active_streams).remove(&key);
-        self.keys.retain(|k| *k != key);
-    }
-}
-
-impl Drop for FlowSetGuard {
-    fn drop(&mut self) {
-        let mut active = lock_unpoisoned(&self.shared.active_streams);
-        for key in &self.keys {
-            active.remove(key);
-        }
-    }
-}
-
 fn handle_connection<B>(shared: Arc<Shared>, conn: Conn)
 where
     B: CompressionBackend + Send + 'static,
 {
-    let reader_conn = match conn.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let mut reader = RecordReader::new(reader_conn);
-
-    let hello = match reader.read_record() {
-        Ok(Some(Record::ClientHello(hello))) => hello,
-        // Connected and left without a word; nothing to serve.
-        Ok(None) => return,
-        Ok(Some(other)) => {
-            report_failure(
-                &shared,
-                &conn,
-                &ServerError::Protocol(format!("expected CLIENT_HELLO, got {}", other.kind_name())),
-            );
-            return;
-        }
-        Err(e) => {
-            report_failure(&shared, &conn, &ServerError::Wire(e));
-            return;
-        }
-    };
-
-    if hello.multiplex {
-        if let Err(e) = serve_flows::<B>(&shared, &conn, &mut reader, &hello) {
-            // A deliberate abort is a staged crash, not a failure to report.
-            if !shared.abort.load(Ordering::SeqCst) {
-                report_failure(&shared, &conn, &e);
-            }
-        }
-        return;
-    }
-
-    // Classic streams occupy tenant 0 of the flow-key space, sharing the
-    // active set with multiplexed flows.
-    let mut guard = FlowSetGuard::new(Arc::clone(&shared));
-    if !guard.register(FlowKey::new(0, hello.stream_id)) {
-        report_failure(
-            &shared,
-            &conn,
-            &ServerError::Protocol(format!(
-                "stream {:#x} is already being served on another connection",
-                hello.stream_id
-            )),
-        );
-        return;
-    }
-
-    if let Err(e) = serve_stream::<B>(&shared, &conn, &mut reader, &hello) {
+    if let Err(e) = serve::<B>(&shared, &conn) {
         // A deliberate abort is a staged crash, not a failure to report.
         if !shared.abort.load(Ordering::SeqCst) {
             report_failure(&shared, &conn, &e);
@@ -670,7 +446,10 @@ where
 /// Counts the failure and best-effort sends a typed `ERROR` record before
 /// the connection drops.
 fn report_failure(shared: &Shared, conn: &Conn, error: &ServerError) {
-    shared.stats.failed_streams.fetch_add(1, Ordering::Relaxed);
+    shared
+        .registry
+        .failed_streams
+        .fetch_add(1, Ordering::Relaxed);
     lock_unpoisoned(&shared.errors).push(error.to_string());
     if let Ok(mut writer) = conn.try_clone() {
         let frame = WireCodec::new().encode(&Record::Error(error.to_string()));
@@ -680,113 +459,17 @@ fn report_failure(shared: &Shared, conn: &Conn, error: &ServerError) {
     conn.shutdown(std::net::Shutdown::Both);
 }
 
-/// The resume plan derived from a stream's warm start and the client's
-/// replay cursor.
-struct ResumePlan {
-    hello: ServerHello,
-    replay: Vec<CommittedEntry>,
-    reseed: Vec<DictionaryUpdate>,
-}
-
-/// Maps a flow-layer error onto the server's error type: engine failures
-/// stay typed, everything else is a protocol violation by the client.
-fn flow_error(error: FlowError) -> ServerError {
-    match error {
-        FlowError::Engine(e) => ServerError::Engine(e),
-        other => ServerError::Protocol(other.to_string()),
-    }
-}
-
-/// Renders a flow resume plan as the wire hello announcing it. Version and
-/// codec set are neutral here; the connection-level hello carries the
-/// negotiated values (see [`negotiate_version`]).
-fn resume_hello(resume: &zipline_flow::FlowResume) -> ServerHello {
-    ServerHello {
-        version: WIRE_VERSION,
-        resume_bytes_in: resume.resume_bytes_in,
-        replay_entries: resume.replay.len() as u64,
-        reseed_entries: resume.reseed.len() as u64,
-        warm: resume.warm,
-        codecs: Vec::new(),
-    }
-}
-
-/// Negotiates the connection's wire version from the client hello and the
-/// stream backend's codec needs.
-///
-/// * The answer is `min(client, ours)` — a v2 peer gets a byte-exact v2
-///   `SERVER_HELLO` back.
-/// * A tagging backend (the `auto` router) emits per-batch codec tags,
-///   which only wire v3 can carry: a v2 peer is refused with a typed
-///   protocol error instead of being fed frames it cannot parse.
-/// * When a v3 client advertises a codec set, every codec the backend may
-///   emit must be in it; an empty advertisement means "no preference".
-fn negotiate_version(
-    hello: &ClientHello,
-    backend_codecs: &[CodecId],
-    tags: bool,
-) -> ServerResult<u16> {
-    let version = hello.version.min(WIRE_VERSION);
-    if tags && version < 3 {
-        return Err(ServerError::Protocol(format!(
-            "stream backend emits per-batch codec tags, which wire version {version} cannot carry"
-        )));
-    }
-    if version >= 3 && !hello.codecs.is_empty() {
-        for id in backend_codecs {
-            if !hello.codecs.contains(id) {
-                return Err(ServerError::Protocol(format!(
-                    "client codec set {:?} is missing codec {id} required by the stream backend",
-                    hello.codecs
-                )));
-            }
-        }
-    }
-    Ok(version)
-}
-
-fn resume_plan<B: CompressionBackend>(
-    engine: &mut CompressionEngine<B>,
-    client: &ClientHello,
-) -> ServerResult<ResumePlan> {
-    // The warm-start arithmetic (cursor validation, replay tail, reseed
-    // synthesis) is shared with the multiplexed path via the flow layer.
-    let resume = zipline_flow::plan_resume(engine, client.entries_held).map_err(flow_error)?;
-    Ok(ResumePlan {
-        hello: resume_hello(&resume),
-        replay: resume.replay,
-        reseed: resume.reseed,
-    })
-}
-
-fn serve_stream<B>(
-    shared: &Arc<Shared>,
-    conn: &Conn,
-    reader: &mut RecordReader<Conn>,
-    hello: &ClientHello,
-) -> ServerResult<()>
+/// The shell around one [`Session`]: the socket read loop in front of it
+/// and the ordered writer (a bounded channel of framed bytes drained by a
+/// dedicated thread; see the module docs) behind it.
+fn serve<B>(shared: &Shared, conn: &Conn) -> ServerResult<()>
 where
     B: CompressionBackend + Send + 'static,
 {
-    let config = &shared.config;
-    let mut host = config.host.clone();
-    if let Some(root) = &host.durable {
-        host.durable = Some(stream_dir(root, hello.stream_id));
-    }
+    let mut reader = RecordReader::new(conn.try_clone()?);
+    let mut session = Session::<B>::new(&shared.config.host, Arc::clone(&shared.registry))?;
 
-    let backend = B::from_engine_config(&host.engine).map_err(EngineError::Gd)?;
-    // Capture the codec needs before the backend moves into the engine.
-    let advertised = backend.codec_ids();
-    let tags = backend.tags_batches();
-    let version = negotiate_version(hello, &advertised, tags)?;
-    let mut engine = host.engine_builder().backend(backend).build()?;
-    let mut plan = resume_plan(&mut engine, hello)?;
-    plan.hello.version = version;
-    plan.hello.codecs = advertised;
-
-    // Ordered writer: a bounded channel of pre-framed records drained by a
-    // dedicated thread. See the module docs for the backpressure rules.
-    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.writer_depth.max(1));
+    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(shared.config.writer_depth.max(1));
     let writer_failed = Arc::new(AtomicBool::new(false));
     let writer_conn = conn.try_clone()?;
     let writer = {
@@ -797,537 +480,63 @@ where
             .map_err(|e| ServerError::io("spawning writer thread", e))?
     };
 
-    let codec = Rc::new(RefCell::new(WireCodec::new()));
-    let bytes_out = |shared: &Shared, frame: &[u8]| {
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-    };
-
-    {
-        let frame = codec.borrow_mut().encode(&Record::ServerHello(plan.hello));
-        bytes_out(shared, &frame);
-        drop(tx.send(frame));
-    }
-    for entry in &plan.replay {
-        let frame = match entry {
-            CommittedEntry::Frame {
-                packet_type,
-                codec: tag,
-                bytes,
-            } => {
-                shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-                codec.borrow_mut().encode_payload(*tag, *packet_type, bytes)
-            }
-            CommittedEntry::Control(update) => {
-                shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                codec.borrow_mut().encode_control(update)
-            }
-        };
-        shared
-            .stats
-            .replayed_entries
-            .fetch_add(1, Ordering::Relaxed);
-        bytes_out(shared, &frame);
-        if tx.send(frame).is_err() || writer_failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
-        }
-    }
-    for update in &plan.reseed {
-        let frame = codec.borrow_mut().encode(&Record::Reseed(update.clone()));
-        shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-        bytes_out(shared, &frame);
-        if tx.send(frame).is_err() || writer_failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
-        }
-    }
-
-    // Live sync was either forced by the durable GD store at build time or
-    // requested by the host configuration; both stream control updates.
-    let live =
-        engine.live_sync_enabled() || (host.live_sync && engine.backend().supports_live_sync());
-
-    // Per-batch codec tags: the stream publishes the active batch's tag
-    // through this cursor just before replaying its payloads, and the sink
-    // samples it per payload. Fixed backends never set it (`None` frames
-    // the untagged kind), so v2 streams keep their historical bytes.
-    let codec_cursor = CodecCursor::new();
-
-    let payload_sink: PayloadSink = {
-        let codec = Rc::clone(&codec);
-        let cursor = codec_cursor.clone();
-        let tx = tx.clone();
-        let failed = Arc::clone(&writer_failed);
-        let shared = Arc::clone(shared);
-        Box::new(move |packet_type, bytes| {
-            if failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let frame = codec
-                .borrow_mut()
-                .encode_payload(cursor.get(), packet_type, bytes);
-            shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .bytes_out
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            drop(tx.send(frame));
-        })
-    };
-    let control_sink: Option<ControlSink> = if live {
-        let codec = Rc::clone(&codec);
-        let tx = tx.clone();
-        let failed = Arc::clone(&writer_failed);
-        let shared = Arc::clone(shared);
-        Some(Box::new(move |update: &DictionaryUpdate| {
-            if failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let frame = codec.borrow_mut().encode_control(update);
-            shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .bytes_out
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            drop(tx.send(frame));
-        }))
-    } else {
-        None
-    };
-
-    let mut stream =
-        PipelinedStream::with_control_sink(engine, host.batch_chunks, payload_sink, control_sink)?;
-    stream.set_codec_cursor(codec_cursor);
-
-    // Ok(true): the client ended the stream; Ok(false): the read half
-    // closed under a graceful shutdown — both finish cleanly.
-    let outcome: ServerResult<bool> = loop {
-        match reader.read_record() {
-            Ok(Some(Record::Data(bytes))) => {
-                shared.stats.records_in.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .bytes_in
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                if let Err(e) = stream.push_record(&bytes) {
-                    break Err(e.into());
-                }
-                if writer_failed.load(Ordering::Relaxed) {
-                    break Err(ServerError::Disconnected);
-                }
-            }
-            Ok(Some(Record::End)) => break Ok(true),
-            Ok(Some(other)) => {
-                break Err(ServerError::Protocol(format!(
-                    "unexpected {} record mid-stream",
-                    other.kind_name()
-                )))
-            }
-            Ok(None) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                // EOF at a record boundary: the client hung up without END,
-                // or our graceful shutdown half-closed the socket. Either
-                // way the data is whole; finish and commit it.
-                break Ok(false);
-            }
-            Err(WireError::Truncated) if shared.stop.load(Ordering::SeqCst) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                // Shutdown cut the client mid-record; the torn record was
-                // never pushed, everything before it commits.
-                break Ok(false);
-            }
-            Err(e) => break Err(e.into()),
-        }
-    };
-
-    let result = match outcome {
-        Ok(client_ended) => match stream.finish() {
-            Ok((engine, summary)) => {
-                drop(engine);
-                shared
-                    .stats
-                    .streams_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let done = Record::Done(DoneSummary {
-                    bytes_in: summary.bytes_in,
-                    payloads_emitted: summary.payloads_emitted,
-                    wire_bytes: summary.wire_bytes,
-                    compressed_payloads: summary.compressed_payloads,
-                    control_updates: summary.control_updates,
-                    server_initiated: !client_ended,
-                });
-                let frame = codec.borrow_mut().encode(&done);
-                bytes_out(shared, &frame);
-                drop(tx.send(frame));
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        },
-        Err(e) => {
-            // Dropping the stream drains the worker without emitting or
-            // committing anything further — crash semantics for the store.
-            drop(stream);
-            Err(e)
-        }
-    };
-
-    // Close the channel (the sinks' clones died with the stream) and let
-    // the writer drain what was queued before it exits.
+    let result = pump(shared, &mut reader, &mut session, &tx, &writer_failed);
+    // On an error this abandons every open flow without emitting or
+    // committing anything further — crash semantics for the stores.
+    drop(session);
+    // Close the channel and let the writer drain what was queued.
     drop(tx);
     drop(writer.join());
     result
 }
 
-/// Renders one finished flow's stream totals as a wire `DONE` body.
-fn flow_done(summary: &StreamSummary, server_initiated: bool) -> DoneSummary {
-    DoneSummary {
-        bytes_in: summary.bytes_in,
-        payloads_emitted: summary.payloads_emitted,
-        wire_bytes: summary.wire_bytes,
-        compressed_payloads: summary.compressed_payloads,
-        control_updates: summary.control_updates,
-        server_initiated,
-    }
-}
-
-/// Frames every tagged emission the router queued since the last drain and
-/// hands the frames to the ordered writer, preserving emission order (per
-/// flow: controls strictly before the payloads that need them).
-fn frame_flow_events(
+/// Records in, frames out, until the session ends or fails.
+fn pump<B>(
     shared: &Shared,
-    codec: &mut WireCodec,
-    events: Vec<FlowEvent>,
-    tx: &mpsc::SyncSender<Vec<u8>>,
-    writer_failed: &AtomicBool,
-) -> ServerResult<()> {
-    for event in events {
-        let frame = match &event {
-            FlowEvent::Payload {
-                key,
-                packet_type,
-                codec: tag,
-                bytes,
-            } => {
-                shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-                codec.encode_flow_payload(*key, *tag, *packet_type, bytes)
-            }
-            FlowEvent::Control { key, update } => {
-                shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                codec.encode_flow_control(*key, update)
-            }
-        };
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if tx.send(frame).is_err() || writer_failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
-        }
-    }
-    Ok(())
-}
-
-/// Serves a multiplexed connection: one [`FlowRouter`] carrying many
-/// tenant-scoped flows over one socket. See the module docs for the
-/// lifecycle; error and shutdown semantics mirror [`serve_stream`] (an
-/// error path drops the router, abandoning every flow at its last commit
-/// boundary — crash semantics for the durable stores).
-fn serve_flows<B>(
-    shared: &Arc<Shared>,
-    conn: &Conn,
     reader: &mut RecordReader<Conn>,
-    hello: &ClientHello,
+    session: &mut Session<B>,
+    tx: &SyncSender<Vec<u8>>,
+    writer_failed: &AtomicBool,
 ) -> ServerResult<()>
 where
     B: CompressionBackend + Send + 'static,
 {
-    let config = &shared.config;
-    let host = &config.host;
-
-    // Probe the backend shape once for negotiation; the router builds its
-    // own per-flow instances.
-    let (advertised, tags) = {
-        let probe = B::from_engine_config(&host.engine).map_err(EngineError::Gd)?;
-        (probe.codec_ids(), probe.tags_batches())
-    };
-    let version = negotiate_version(hello, &advertised, tags)?;
-    let mut flow_config = FlowRouterConfig::new(host.engine);
-    flow_config.batch_units = host.batch_chunks;
-    flow_config.live_sync = host.live_sync;
-    flow_config.pipeline_depth = host.pipeline_depth.unwrap_or(2);
-    flow_config.durable_root = host.durable.clone();
-    flow_config.checkpoint_cadence = host.checkpoint_cadence;
-    flow_config.sync = host.sync;
-    let mut router: FlowRouter<B> = FlowRouter::new(flow_config).map_err(flow_error)?;
-
-    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.writer_depth.max(1));
-    let writer_failed = Arc::new(AtomicBool::new(false));
-    let writer_conn = conn.try_clone()?;
-    let writer = {
-        let failed = Arc::clone(&writer_failed);
-        thread::Builder::new()
-            .name("zipline-writer".into())
-            .spawn(move || run_writer(writer_conn, rx, failed))
-            .map_err(|e| ServerError::io("spawning writer thread", e))?
-    };
-
-    let mut codec = WireCodec::new();
-    let mut guard = FlowSetGuard::new(Arc::clone(shared));
-    // Running totals across finished flows for the aggregate `DONE`.
-    let mut agg = DoneSummary {
-        bytes_in: 0,
-        payloads_emitted: 0,
-        wire_bytes: 0,
-        compressed_payloads: 0,
-        control_updates: 0,
-        server_initiated: false,
-    };
-    let absorb = |agg: &mut DoneSummary, summary: &StreamSummary| {
-        agg.bytes_in += summary.bytes_in;
-        agg.payloads_emitted += summary.payloads_emitted;
-        agg.wire_bytes += summary.wire_bytes;
-        agg.compressed_payloads += summary.compressed_payloads;
-        agg.control_updates += summary.control_updates;
-    };
-    let send = |shared: &Shared,
-                tx: &mpsc::SyncSender<Vec<u8>>,
-                failed: &AtomicBool,
-                frame: Vec<u8>|
-     -> ServerResult<()> {
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if tx.send(frame).is_err() || failed.load(Ordering::Relaxed) {
+    let mut frames = Vec::new();
+    loop {
+        let record = match reader.read_record() {
+            Ok(record) => record,
+            // Shutdown cut the client mid-record; the torn record was never
+            // handled, everything before it is whole.
+            Err(WireError::Truncated) if shared.stop.load(Ordering::SeqCst) => None,
+            Err(e) => return Err(e.into()),
+        };
+        let step = match record {
+            Some(record) => session.handle(record, &mut frames),
+            None if shared.abort.load(Ordering::SeqCst) => Err(ServerError::Disconnected),
+            // EOF at a record boundary: the client hung up without END, or
+            // our graceful shutdown half-closed the socket. Either way the
+            // data is whole; finish and commit it.
+            None => session.stop(&mut frames),
+        };
+        // Whatever a failed step emitted before failing is still owed.
+        if !frames.is_empty() {
+            // Queue an exact-size copy and keep the grown buffer. A send
+            // only fails once the writer is gone, which the failure flag
+            // below reports.
+            drop(tx.send(frames.clone()));
+            frames.clear();
+        }
+        step?;
+        if session.is_ended() {
+            return Ok(());
+        }
+        if writer_failed.load(Ordering::Relaxed) {
             return Err(ServerError::Disconnected);
         }
-        Ok(())
-    };
-
-    // Connection-level acknowledgement: no stream opens with the hello on a
-    // multiplexed connection, so the resume fields are all zero.
-    {
-        let frame = codec.encode(&Record::ServerHello(ServerHello {
-            version,
-            resume_bytes_in: 0,
-            replay_entries: 0,
-            reseed_entries: 0,
-            warm: false,
-            codecs: advertised,
-        }));
-        send(shared, &tx, &writer_failed, frame)?;
     }
-
-    // Ok(true): the client ended the connection; Ok(false): the read half
-    // closed under a graceful shutdown — both finish the remaining flows.
-    let outcome: ServerResult<bool> = loop {
-        match reader.read_record() {
-            Ok(Some(Record::FlowOpen { key, entries_held })) => {
-                if !guard.register(key) {
-                    break Err(ServerError::Protocol(format!(
-                        "{key} is already being served on another connection"
-                    )));
-                }
-                let resume = match router.open_flow(key, entries_held) {
-                    Ok(resume) => resume,
-                    Err(e) => break Err(flow_error(e)),
-                };
-                let opened = codec.encode(&Record::FlowOpened {
-                    key,
-                    resume: resume_hello(&resume),
-                });
-                if let Err(e) = send(shared, &tx, &writer_failed, opened) {
-                    break Err(e);
-                }
-                // Replay and reseed stay tagged so interleaved flows never
-                // bleed into each other's decoders.
-                let mut failed = None;
-                for entry in &resume.replay {
-                    let frame = match entry {
-                        CommittedEntry::Frame {
-                            packet_type,
-                            codec: tag,
-                            bytes,
-                        } => {
-                            shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-                            codec.encode_flow_payload(key, *tag, *packet_type, bytes)
-                        }
-                        CommittedEntry::Control(update) => {
-                            shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                            codec.encode_flow_control(key, update)
-                        }
-                    };
-                    shared
-                        .stats
-                        .replayed_entries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                if failed.is_none() {
-                    for update in &resume.reseed {
-                        let frame = codec.encode(&Record::FlowReseed {
-                            key,
-                            update: update.clone(),
-                        });
-                        shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                        if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    break Err(e);
-                }
-            }
-            Ok(Some(Record::FlowData { key, bytes })) => {
-                shared.stats.records_in.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .bytes_in
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                if let Err(e) = router.push(key, &bytes) {
-                    break Err(flow_error(e));
-                }
-                if let Err(e) = frame_flow_events(
-                    shared,
-                    &mut codec,
-                    router.drain_events(),
-                    &tx,
-                    &writer_failed,
-                ) {
-                    break Err(e);
-                }
-            }
-            Ok(Some(Record::FlowEnd { key })) => {
-                let finished = match router.end_flow(key) {
-                    Ok(finished) => finished,
-                    Err(e) => break Err(flow_error(e)),
-                };
-                if let Err(e) = frame_flow_events(
-                    shared,
-                    &mut codec,
-                    router.drain_events(),
-                    &tx,
-                    &writer_failed,
-                ) {
-                    break Err(e);
-                }
-                guard.release(key);
-                absorb(&mut agg, &finished.summary);
-                shared
-                    .stats
-                    .streams_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let frame = codec.encode(&Record::FlowDone {
-                    key,
-                    summary: flow_done(&finished.summary, false),
-                });
-                if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                    break Err(e);
-                }
-            }
-            Ok(Some(Record::End)) => break Ok(true),
-            Ok(Some(other)) => {
-                break Err(ServerError::Protocol(format!(
-                    "unexpected {} record on a multiplexed connection",
-                    other.kind_name()
-                )))
-            }
-            Ok(None) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                // EOF at a record boundary: finish what is whole (see
-                // serve_stream).
-                break Ok(false);
-            }
-            Err(WireError::Truncated) if shared.stop.load(Ordering::SeqCst) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                break Ok(false);
-            }
-            Err(e) => break Err(e.into()),
-        }
-    };
-
-    let result = match outcome {
-        Ok(client_ended) => {
-            // Finish the remaining flows in sorted key order (deterministic
-            // drain), then answer with the aggregate totals.
-            let mut finish_result = Ok(());
-            for key in router.active_keys() {
-                let finished = match router.end_flow(key) {
-                    Ok(finished) => finished,
-                    Err(e) => {
-                        finish_result = Err(flow_error(e));
-                        break;
-                    }
-                };
-                if let Err(e) = frame_flow_events(
-                    shared,
-                    &mut codec,
-                    router.drain_events(),
-                    &tx,
-                    &writer_failed,
-                ) {
-                    finish_result = Err(e);
-                    break;
-                }
-                guard.release(key);
-                absorb(&mut agg, &finished.summary);
-                shared
-                    .stats
-                    .streams_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let frame = codec.encode(&Record::FlowDone {
-                    key,
-                    summary: flow_done(&finished.summary, true),
-                });
-                if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                    finish_result = Err(e);
-                    break;
-                }
-            }
-            match finish_result {
-                Ok(()) => {
-                    agg.server_initiated = !client_ended;
-                    let frame = codec.encode(&Record::Done(agg));
-                    shared
-                        .stats
-                        .bytes_out
-                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                    drop(tx.send(frame));
-                    Ok(())
-                }
-                Err(e) => {
-                    // Abandon whatever did not finish — crash semantics.
-                    drop(router);
-                    Err(e)
-                }
-            }
-        }
-        Err(e) => {
-            drop(router);
-            Err(e)
-        }
-    };
-
-    drop(tx);
-    drop(writer.join());
-    result
 }
 
-/// The ordered writer: drains pre-framed records to the socket, batching
+/// The ordered writer: drains framed bytes to the socket, batching
 /// bursts through a buffered writer and flushing whenever the queue runs
 /// empty (so closed-loop clients are never left waiting on a full buffer).
 fn run_writer(conn: Conn, rx: Receiver<Vec<u8>>, failed: Arc<AtomicBool>) {

@@ -1,4 +1,4 @@
-//! Framed wire protocol for the ZipLine ingest server.
+//! Framed wire protocol for the ZipLine ingest server (wire **v4**).
 //!
 //! The framing reuses the record discipline of the durable store
 //! (`zipline-engine`'s `persist.rs`): every record on the socket is
@@ -18,51 +18,45 @@
 //!
 //! # Record kinds
 //!
+//! One record family: a connection carries flows, and every flow-scoped
+//! record names its flow with a [`FlowKey`] directly after the kind byte —
+//! tenant then flow, each an unsigned LEB128 varint of at most ten bytes,
+//! so the small ids real sessions use (a classic stream is tenant 0) cost
+//! two bytes per record, not sixteen.
+//!
 //! Client → server:
 //!
-//! | kind   | record                                            |
-//! |--------|---------------------------------------------------|
-//! | `0x41` | [`ClientHello`] — magic `ZLRQ`, version, stream id, replay cursor, multiplex flag |
-//! | `0x42` | `Data` — raw input record bytes for the engine    |
-//! | `0x43` | `End` — clean end of stream (drain + commit)      |
-//! | `0x44` | `FlowOpen` — open one flow on a multiplexed connection (key + replay cursor) |
-//! | `0x45` | `FlowData` — raw input record bytes for one flow  |
-//! | `0x46` | `FlowEnd` — clean end of one flow                 |
+//! | kind   | record                                                        |
+//! |--------|---------------------------------------------------------------|
+//! | `0x41` | [`ClientHello`] — magic `ZLRQ`, version, codec set            |
+//! | `0x42` | `Open` — key + replay cursor; opens (or resumes) one flow     |
+//! | `0x43` | `Data` — key + raw input record bytes for the flow's engine   |
+//! | `0x44` | `EndFlow` — key; clean end of one flow (drain + commit)       |
+//! | `0x45` | `End` — clean end of the session (finishes every open flow)   |
 //!
 //! Server → client:
 //!
-//! | kind   | record                                            |
-//! |--------|---------------------------------------------------|
-//! | `0x51` | [`ServerHello`] — magic `ZLRS`, resume offset, replay/reseed counts |
-//! | `0x52` | `Payload` — one wire payload (`packet_type` + bytes) |
-//! | `0x53` | `Control` — one committed dictionary update (live sync) |
-//! | `0x54` | `Done` — stream summary, closes the journal epoch |
-//! | `0x55` | `Error` — typed failure, connection closes after  |
-//! | `0x56` | `Reseed` — synthesized dictionary install for a compacted journal (advisory; not part of the replay cursor) |
-//! | `0x57` | `FlowOpened` — per-flow resume plan (the flow's `ServerHello`) |
-//! | `0x58` | `FlowPayload` — one wire payload of one flow      |
-//! | `0x59` | `FlowControl` — one committed dictionary update of one flow |
-//! | `0x5A` | `FlowReseed` — synthesized install of one flow (compacted journal) |
-//! | `0x5B` | `FlowDone` — one flow's summary, closes its journal epoch |
-//! | `0x5C` | `PayloadTagged` — one wire payload with a per-batch codec tag (`codec_id` + `packet_type` + bytes) |
-//! | `0x5D` | `FlowPayloadTagged` — one tagged wire payload of one flow |
+//! | kind   | record                                                        |
+//! |--------|---------------------------------------------------------------|
+//! | `0x51` | [`ServerHello`] — magic `ZLRS`, version, codec set            |
+//! | `0x52` | `Opened` — key + [`ResumeSummary`] (answers `Open`)           |
+//! | `0x53` | `Payload` — key, codec byte, packet type, payload bytes       |
+//! | `0x54` | `Control` — key + one committed dictionary update (live sync) |
+//! | `0x55` | `Error` — typed failure, connection closes after              |
+//! | `0x56` | `Reseed` — key + synthesized install for a compacted journal (advisory; not part of the replay cursor) |
+//! | `0x57` | `FlowDone` — key + [`DoneSummary`]; closes the flow's journal epoch |
+//! | `0x58` | `Done` — session totals; last record of a clean session       |
 //!
-//! The `Flow*` kinds (wire version 2) multiplex many flows over one
-//! connection: each carries a [`FlowKey`] tag ahead of the same body its
-//! single-stream counterpart uses, so per flow the record sequence — and
-//! in particular the controls-strictly-before-data interleaving — is
-//! exactly the single-stream protocol's.
-//!
-//! The `*Tagged` kinds (wire version 3) make the stream self-describing:
-//! a routing backend (`AutoBackend`) stamps every batch's payloads with
-//! the [`CodecId`] that actually compressed them, so a decoder pool picks
-//! the right decompressor from the tag alone. Untagged `Payload`/
-//! `FlowPayload` records stay valid and mean "the stream's fixed
-//! backend" — a v2 peer therefore keeps decoding fixed-backend streams
-//! unchanged. Version 3 hellos additionally advertise the codec ids each
-//! side supports; a v2 hello is answered with a v2-shaped reply and an
-//! empty codec set. A tag byte no registry entry covers is the typed
+//! Per flow, controls reach the socket strictly before the payloads that
+//! need them. A payload's codec byte is the [`CodecId`] that compressed its
+//! batch (stamped by a routing backend such as `AutoBackend`), or `0` —
+//! the container format's "untagged" sentinel — meaning *the flow's fixed
+//! backend*. A non-zero byte no registry entry covers is the typed
 //! [`WireError::UnknownCodec`].
+//!
+//! There is exactly one version. A hello of any other version fails to
+//! decode with [`WireError::UnsupportedVersion`], which the server answers
+//! with a typed `ERROR` record naming the version it speaks.
 //!
 //! The body encodings for dictionary updates mirror the store's
 //! `put_update`/`read_update` byte-for-byte so a journal replay is a straight
@@ -75,21 +69,17 @@ use zipline_engine::{codec_from_u8, CodecId, DictionaryUpdate, FlowKey, UpdateOp
 use zipline_gd::packet::PacketType;
 use zipline_gd::{BitVec, CrcEngine, CrcSpec};
 
-/// Wire protocol version spoken by this crate. Version 2 added the
-/// multiplex flag to [`ClientHello`] and the flow-tagged record kinds;
-/// version 3 added per-batch codec tags (`PayloadTagged`/
-/// `FlowPayloadTagged`) and the hello codec-set advertisement. Version-2
-/// peers are still accepted (they negotiate an untagged, fixed-backend
-/// stream); version-1 peers are rejected with a typed `ERROR` record.
-pub const WIRE_VERSION: u16 = 3;
-
-/// Oldest wire version this crate still speaks.
-pub const MIN_WIRE_VERSION: u16 = 2;
+/// The one wire protocol version this crate speaks.
+pub const WIRE_VERSION: u16 = 4;
 
 /// Upper bound on a single record's payload bytes; anything larger is
 /// rejected before buffering (a 4-byte length field must not become a
 /// memory-exhaustion lever).
 pub const MAX_WIRE_RECORD_BYTES: usize = 1 << 24;
+
+/// The flow un-keyed sends address: tenant 0's stream 0, where a caller with
+/// a single unnamed stream lives.
+pub(crate) const UNNAMED_FLOW: FlowKey = FlowKey { tenant: 0, flow: 0 };
 
 /// Magic prefix of a [`ClientHello`] body.
 pub const REQUEST_MAGIC: [u8; 4] = *b"ZLRQ";
@@ -97,24 +87,18 @@ pub const REQUEST_MAGIC: [u8; 4] = *b"ZLRQ";
 pub const RESPONSE_MAGIC: [u8; 4] = *b"ZLRS";
 
 const KIND_CLIENT_HELLO: u8 = 0x41;
-const KIND_DATA: u8 = 0x42;
-const KIND_END: u8 = 0x43;
-const KIND_FLOW_OPEN: u8 = 0x44;
-const KIND_FLOW_DATA: u8 = 0x45;
-const KIND_FLOW_END: u8 = 0x46;
+const KIND_OPEN: u8 = 0x42;
+const KIND_DATA: u8 = 0x43;
+const KIND_END_FLOW: u8 = 0x44;
+const KIND_END: u8 = 0x45;
 const KIND_SERVER_HELLO: u8 = 0x51;
-const KIND_PAYLOAD: u8 = 0x52;
-const KIND_CONTROL: u8 = 0x53;
-const KIND_DONE: u8 = 0x54;
+const KIND_OPENED: u8 = 0x52;
+const KIND_PAYLOAD: u8 = 0x53;
+const KIND_CONTROL: u8 = 0x54;
 const KIND_ERROR: u8 = 0x55;
 const KIND_RESEED: u8 = 0x56;
-const KIND_FLOW_OPENED: u8 = 0x57;
-const KIND_FLOW_PAYLOAD: u8 = 0x58;
-const KIND_FLOW_CONTROL: u8 = 0x59;
-const KIND_FLOW_RESEED: u8 = 0x5A;
-const KIND_FLOW_DONE: u8 = 0x5B;
-const KIND_PAYLOAD_TAGGED: u8 = 0x5C;
-const KIND_FLOW_PAYLOAD_TAGGED: u8 = 0x5D;
+const KIND_FLOW_DONE: u8 = 0x57;
+const KIND_DONE: u8 = 0x58;
 
 /// Decoding failure; every variant is terminal for the connection.
 #[derive(Debug)]
@@ -130,11 +114,11 @@ pub enum WireError {
     BadCrc,
     /// A hello record carried the wrong magic.
     BadMagic,
-    /// A hello record spoke a protocol version we do not.
+    /// A hello record spoke a protocol version other than [`WIRE_VERSION`].
     UnsupportedVersion(u16),
     /// Correctly framed record with a kind byte we do not know.
     UnknownKind(u8),
-    /// A tagged payload named a codec id no registry entry covers.
+    /// A payload named a codec id no registry entry covers.
     UnknownCodec(u8),
     /// The body of a known kind did not parse.
     Malformed(String),
@@ -151,11 +135,12 @@ impl fmt::Display for WireError {
             ),
             WireError::BadCrc => write!(f, "record CRC mismatch"),
             WireError::BadMagic => write!(f, "hello record carries the wrong magic"),
-            WireError::UnsupportedVersion(v) => write!(f, "unsupported wire version {v}"),
+            WireError::UnsupportedVersion(v) => write!(
+                f,
+                "unsupported wire version {v}; only version {WIRE_VERSION} is spoken"
+            ),
             WireError::UnknownKind(k) => write!(f, "unknown record kind {k:#04x}"),
-            WireError::UnknownCodec(id) => {
-                write!(f, "tagged payload names unknown codec id {id}")
-            }
+            WireError::UnknownCodec(id) => write!(f, "payload names unknown codec id {id}"),
             WireError::Malformed(what) => write!(f, "malformed record body: {what}"),
         }
     }
@@ -171,50 +156,26 @@ impl std::error::Error for WireError {
 }
 
 /// First record on every connection, client → server.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientHello {
-    /// The wire version the client speaks. Encoding is version-shaped:
-    /// a `version <= 2` hello keeps the exact v2 body (no codec set), so
-    /// old servers parse it cleanly.
-    pub version: u16,
-    /// Caller-chosen stream identifier; doubles as the durable directory key,
-    /// so reconnecting with the same id resumes the same journal.
-    pub stream_id: u64,
-    /// Replay cursor: payload + control records the client has received since
-    /// the stream's last `Done` (i.e. within the current journal epoch).
-    pub entries_held: u64,
-    /// Wire version 2: when set the connection is multiplexed — the
-    /// `stream_id`/`entries_held` fields are ignored and flows open
-    /// individually via `FlowOpen` records.
-    pub multiplex: bool,
-    /// Wire version 3: codec ids the client can decode. Empty means
-    /// "unstated" (v2 peer, or a client that accepts anything its
-    /// registry covers); a non-empty set lets the server refuse a stream
-    /// whose backend would emit tags the client cannot decode.
+    /// Codec ids the client can decode. Empty means "unstated" (the client
+    /// accepts anything its registry covers); a non-empty set lets the
+    /// server refuse a session whose backend would emit payloads the
+    /// client cannot decode.
     pub codecs: Vec<CodecId>,
 }
 
-impl ClientHello {
-    /// A current-version hello for stream `stream_id` with replay cursor
-    /// `entries_held` and an unstated (empty) codec set.
-    pub fn new(stream_id: u64, entries_held: u64) -> Self {
-        Self {
-            version: WIRE_VERSION,
-            stream_id,
-            entries_held,
-            multiplex: false,
-            codecs: Vec::new(),
-        }
-    }
+/// First record on every connection, server → client.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServerHello {
+    /// Codec ids the serving backend may stamp on this session's payloads.
+    pub codecs: Vec<CodecId>,
 }
 
-/// First record on every connection, server → client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerHello {
-    /// The wire version the reply speaks: the minimum of the server's own
-    /// and the client's, so a v2 client gets a v2-shaped reply it can
-    /// parse (no codec set).
-    pub version: u16,
+/// The resume plan of one opened flow, as announced on the wire: the
+/// counts of what follows the `Opened` record and where input resumes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResumeSummary {
     /// Input byte offset the client must resume feeding from after the
     /// replayed records (always a commit-boundary, i.e. a batch multiple).
     pub resume_bytes_in: u64,
@@ -222,15 +183,12 @@ pub struct ServerHello {
     pub replay_entries: u64,
     /// Synthesized `Reseed` installs about to follow (compacted journal).
     pub reseed_entries: u64,
-    /// Whether the stream restored warm state from a durable store.
+    /// Whether the flow restored warm state from a durable store.
     pub warm: bool,
-    /// Wire version 3: codec ids the serving backend may stamp on this
-    /// stream's payloads (empty for a fixed, untagged backend).
-    pub codecs: Vec<CodecId>,
 }
 
-/// Final record of a clean stream, server → client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Totals of one finished flow (`FlowDone`) or one whole session (`Done`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DoneSummary {
     /// Record bytes the engine consumed.
     pub bytes_in: u64,
@@ -242,8 +200,9 @@ pub struct DoneSummary {
     pub compressed_payloads: u64,
     /// Dictionary updates streamed to the client.
     pub control_updates: u64,
-    /// True when the server (graceful shutdown) rather than the client's
-    /// `End` record ended the stream.
+    /// True when the server (graceful shutdown, or a session `End` with
+    /// the flow still open) rather than the client's own end record
+    /// finished it.
     pub server_initiated: bool,
 }
 
@@ -252,91 +211,75 @@ pub struct DoneSummary {
 pub enum Record {
     /// `0x41`: connection opener, client → server.
     ClientHello(ClientHello),
-    /// `0x42`: raw input record bytes for the engine.
-    Data(Vec<u8>),
-    /// `0x43`: clean end of stream.
-    End,
-    /// `0x44`: opens one flow on a multiplexed connection; `entries_held`
-    /// is the flow's replay cursor, exactly as on a [`ClientHello`].
-    FlowOpen {
+    /// `0x42`: opens one flow; `entries_held` is the flow's replay cursor —
+    /// payload + control records the client already holds from the flow's
+    /// current journal epoch.
+    Open {
         /// The flow being opened.
         key: FlowKey,
         /// The flow's replay cursor.
         entries_held: u64,
     },
-    /// `0x45`: raw input record bytes for one flow.
-    FlowData {
+    /// `0x43`: raw input record bytes for one flow.
+    Data {
         /// The owning flow.
         key: FlowKey,
         /// The record bytes.
         bytes: Vec<u8>,
     },
-    /// `0x46`: clean end of one flow (drain + commit, `FlowDone` follows).
-    FlowEnd {
+    /// `0x44`: clean end of one flow (drain + commit, `FlowDone` follows).
+    EndFlow {
         /// The flow being ended.
         key: FlowKey,
     },
+    /// `0x45`: clean end of the session.
+    End,
     /// `0x51`: connection opener, server → client.
     ServerHello(ServerHello),
-    /// `0x52` untagged / `0x5C` tagged: one compressed/uncompressed/raw
-    /// wire payload.
-    Payload {
-        /// ZipLine packet type of the payload.
-        packet_type: PacketType,
-        /// Per-batch codec tag (`Some` encodes as `0x5C`); `None` means
-        /// the stream's fixed backend and encodes as plain `0x52`.
-        codec: Option<CodecId>,
-        /// Payload bytes exactly as the backend emitted them.
-        bytes: Vec<u8>,
-    },
-    /// `0x53`: one committed dictionary update (live sync).
-    Control(DictionaryUpdate),
-    /// `0x56`: synthesized dictionary install replacing a compacted journal.
-    Reseed(DictionaryUpdate),
-    /// `0x54`: stream summary; closes the journal epoch.
-    Done(DoneSummary),
-    /// `0x55`: typed failure; the connection closes after this record.
-    Error(String),
-    /// `0x57`: per-flow resume plan — the flow's [`ServerHello`], tagged.
-    FlowOpened {
+    /// `0x52`: one flow's resume plan; answers `Open`.
+    Opened {
         /// The opened flow.
         key: FlowKey,
-        /// The flow's resume plan (same fields as a connection hello).
-        resume: ServerHello,
+        /// What follows and where input resumes.
+        resume: ResumeSummary,
     },
-    /// `0x58` untagged / `0x5D` tagged: one wire payload of one flow.
-    FlowPayload {
+    /// `0x53`: one compressed/uncompressed/raw wire payload of one flow.
+    Payload {
         /// The owning flow.
         key: FlowKey,
         /// ZipLine packet type of the payload.
         packet_type: PacketType,
-        /// Per-batch codec tag (`Some` encodes as `0x5D`); `None` means
-        /// the flow's fixed backend and encodes as plain `0x58`.
+        /// Per-batch codec tag; `None` (wire byte 0) means the flow's
+        /// fixed backend.
         codec: Option<CodecId>,
         /// Payload bytes exactly as the backend emitted them.
         bytes: Vec<u8>,
     },
-    /// `0x59`: one committed dictionary update of one flow (live sync).
-    FlowControl {
+    /// `0x54`: one committed dictionary update of one flow (live sync).
+    Control {
         /// The owning flow.
         key: FlowKey,
-        /// The tagged update.
+        /// The update.
         update: DictionaryUpdate,
     },
-    /// `0x5A`: synthesized install of one flow (compacted journal).
-    FlowReseed {
+    /// `0x56`: synthesized install of one flow (compacted journal).
+    Reseed {
         /// The owning flow.
         key: FlowKey,
         /// The synthesized update.
         update: DictionaryUpdate,
     },
-    /// `0x5B`: one flow's summary; closes the flow's journal epoch.
+    /// `0x57`: one flow's summary; closes the flow's journal epoch.
     FlowDone {
         /// The finished flow.
         key: FlowKey,
         /// The flow's stream totals.
         summary: DoneSummary,
     },
+    /// `0x58`: session totals across every finished flow.
+    Done(DoneSummary),
+    /// `0x55`: typed failure; the connection closes after this record.
+    Error(String),
 }
 
 impl Record {
@@ -344,24 +287,18 @@ impl Record {
     pub fn kind_name(&self) -> &'static str {
         match self {
             Record::ClientHello(_) => "CLIENT_HELLO",
-            Record::Data(_) => "DATA",
+            Record::Open { .. } => "OPEN",
+            Record::Data { .. } => "DATA",
+            Record::EndFlow { .. } => "END_FLOW",
             Record::End => "END",
             Record::ServerHello(_) => "SERVER_HELLO",
-            Record::Payload { codec: Some(_), .. } => "PAYLOAD_TAGGED",
+            Record::Opened { .. } => "OPENED",
             Record::Payload { .. } => "PAYLOAD",
-            Record::Control(_) => "CONTROL",
-            Record::Reseed(_) => "RESEED",
+            Record::Control { .. } => "CONTROL",
+            Record::Reseed { .. } => "RESEED",
+            Record::FlowDone { .. } => "FLOW_DONE",
             Record::Done(_) => "DONE",
             Record::Error(_) => "ERROR",
-            Record::FlowOpen { .. } => "FLOW_OPEN",
-            Record::FlowData { .. } => "FLOW_DATA",
-            Record::FlowEnd { .. } => "FLOW_END",
-            Record::FlowOpened { .. } => "FLOW_OPENED",
-            Record::FlowPayload { codec: Some(_), .. } => "FLOW_PAYLOAD_TAGGED",
-            Record::FlowPayload { .. } => "FLOW_PAYLOAD",
-            Record::FlowControl { .. } => "FLOW_CONTROL",
-            Record::FlowReseed { .. } => "FLOW_RESEED",
-            Record::FlowDone { .. } => "FLOW_DONE",
         }
     }
 }
@@ -383,21 +320,54 @@ fn put_bitvec(buf: &mut Vec<u8>, bits: &BitVec) {
     buf.extend_from_slice(&bits.to_bytes());
 }
 
-fn put_flow_key(buf: &mut Vec<u8>, key: FlowKey) {
-    put_u64(buf, key.tenant);
-    put_u64(buf, key.flow);
+/// Unsigned LEB128: seven value bits per byte, low group first, the high
+/// bit set on every byte but the last.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
-/// Appends a hello's codec-set suffix — only on v3+ bodies, so a v2 hello
-/// keeps its exact historical shape.
-fn put_codec_set(buf: &mut Vec<u8>, version: u16, codecs: &[CodecId]) {
-    if version >= 3 {
-        debug_assert!(codecs.len() <= u8::MAX as usize, "codec set too large");
-        buf.push(codecs.len() as u8);
-        for id in codecs {
-            buf.push(id.as_u8());
-        }
-    }
+/// Starts a flow-scoped body: the kind byte, then the key.
+fn put_keyed(buf: &mut Vec<u8>, kind: u8, key: FlowKey) {
+    buf.push(kind);
+    put_varint(buf, key.tenant);
+    put_varint(buf, key.flow);
+}
+
+/// A whole hello body: kind, magic, version, then the codec set.
+fn put_hello(buf: &mut Vec<u8>, kind: u8, magic: [u8; 4], codecs: &[CodecId]) {
+    debug_assert!(codecs.len() <= u8::MAX as usize, "codec set too large");
+    buf.push(kind);
+    buf.extend_from_slice(&magic);
+    put_u16(buf, WIRE_VERSION);
+    buf.push(codecs.len() as u8);
+    buf.extend(codecs.iter().map(|id| id.as_u8()));
+}
+
+fn put_payload(
+    buf: &mut Vec<u8>,
+    key: FlowKey,
+    codec: Option<CodecId>,
+    packet_type: PacketType,
+    bytes: &[u8],
+) {
+    put_keyed(buf, KIND_PAYLOAD, key);
+    buf.push(codec.map_or(0, CodecId::as_u8));
+    buf.push(packet_type.number());
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
+}
+
+fn put_done(buf: &mut Vec<u8>, done: &DoneSummary) {
+    put_u64(buf, done.bytes_in);
+    put_u64(buf, done.payloads_emitted);
+    put_u64(buf, done.wire_bytes);
+    put_u64(buf, done.compressed_payloads);
+    put_u64(buf, done.control_updates);
+    buf.push(u8::from(done.server_initiated));
 }
 
 /// Serializes a dictionary update exactly like the store's `put_update`.
@@ -469,6 +439,27 @@ impl<'a> BodyReader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
+    /// Unsigned LEB128, bounded: at most ten bytes, and the tenth may only
+    /// carry the one bit a `u64` has left.
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                break;
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(WireError::Malformed(format!(
+            "{}: varint overflows 64 bits",
+            self.what
+        )))
+    }
+
     fn bitvec(&mut self) -> Result<BitVec, WireError> {
         let bit_len = self.u32()? as usize;
         let bytes = self.take(bit_len.div_ceil(8))?;
@@ -497,26 +488,56 @@ impl<'a> BodyReader<'a> {
 
 fn read_flow_key(r: &mut BodyReader<'_>) -> Result<FlowKey, WireError> {
     Ok(FlowKey {
-        tenant: r.u64()?,
-        flow: r.u64()?,
+        tenant: r.varint()?,
+        flow: r.varint()?,
     })
 }
 
-/// Reads a hello's codec-set suffix (absent before v3). Advertised ids
-/// are carried verbatim — an id this build does not know is fine in an
-/// *advertisement* (set intersection handles it); only a payload *tag*
-/// must resolve, which `codec_from_u8` enforces at the tagged-payload
-/// parse sites.
-fn read_codec_set(r: &mut BodyReader<'_>, version: u16) -> Result<Vec<CodecId>, WireError> {
-    if version < 3 {
-        return Ok(Vec::new());
+/// Parses a hello body after the kind byte: magic, the one supported
+/// version, then the codec set. Advertised ids are carried verbatim — an
+/// id this build does not know is fine in an *advertisement* (the set check
+/// handles it); only a payload *tag* must resolve through the registry.
+fn read_hello(body: &[u8], what: &'static str, magic: [u8; 4]) -> Result<Vec<CodecId>, WireError> {
+    let mut r = BodyReader::new(body, what);
+    if r.take(4)? != magic {
+        return Err(WireError::BadMagic);
+    }
+    let version = r.u16()?;
+    if version != WIRE_VERSION {
+        // Other versions shape the rest of the body differently; refuse
+        // before parsing any of it.
+        return Err(WireError::UnsupportedVersion(version));
     }
     let n = r.u8()? as usize;
-    let mut ids = Vec::with_capacity(n);
+    let mut codecs = Vec::with_capacity(n);
     for _ in 0..n {
-        ids.push(CodecId(r.u8()?));
+        codecs.push(CodecId(r.u8()?));
     }
-    Ok(ids)
+    r.finish()?;
+    Ok(codecs)
+}
+
+fn read_done(r: &mut BodyReader<'_>) -> Result<DoneSummary, WireError> {
+    Ok(DoneSummary {
+        bytes_in: r.u64()?,
+        payloads_emitted: r.u64()?,
+        wire_bytes: r.u64()?,
+        compressed_payloads: r.u64()?,
+        control_updates: r.u64()?,
+        server_initiated: r.u8()? != 0,
+    })
+}
+
+/// The shared body of `Control` and `Reseed`: key, then one update.
+fn read_keyed_update(
+    body: &[u8],
+    what: &'static str,
+) -> Result<(FlowKey, DictionaryUpdate), WireError> {
+    let mut r = BodyReader::new(body, what);
+    let key = read_flow_key(&mut r)?;
+    let update = read_update(&mut r)?;
+    r.finish()?;
+    Ok((key, update))
 }
 
 fn read_update(r: &mut BodyReader<'_>) -> Result<DictionaryUpdate, WireError> {
@@ -585,136 +606,53 @@ impl WireCodec {
         self.scratch.clear();
         let body = &mut self.scratch;
         match record {
-            Record::ClientHello(h) => {
-                body.push(KIND_CLIENT_HELLO);
-                body.extend_from_slice(&REQUEST_MAGIC);
-                put_u16(body, h.version);
-                put_u64(body, h.stream_id);
-                put_u64(body, h.entries_held);
-                body.push(u8::from(h.multiplex));
-                put_codec_set(body, h.version, &h.codecs);
-            }
-            Record::Data(bytes) => {
-                body.push(KIND_DATA);
-                body.extend_from_slice(bytes);
-            }
-            Record::End => body.push(KIND_END),
-            Record::FlowOpen { key, entries_held } => {
-                body.push(KIND_FLOW_OPEN);
-                put_flow_key(body, *key);
+            Record::ClientHello(h) => put_hello(body, KIND_CLIENT_HELLO, REQUEST_MAGIC, &h.codecs),
+            Record::Open { key, entries_held } => {
+                put_keyed(body, KIND_OPEN, *key);
                 put_u64(body, *entries_held);
             }
-            Record::FlowData { key, bytes } => {
-                body.push(KIND_FLOW_DATA);
-                put_flow_key(body, *key);
+            Record::Data { key, bytes } => {
+                put_keyed(body, KIND_DATA, *key);
                 body.extend_from_slice(bytes);
             }
-            Record::FlowEnd { key } => {
-                body.push(KIND_FLOW_END);
-                put_flow_key(body, *key);
-            }
-            Record::ServerHello(h) => {
-                body.push(KIND_SERVER_HELLO);
-                body.extend_from_slice(&RESPONSE_MAGIC);
-                put_u16(body, h.version);
-                put_u64(body, h.resume_bytes_in);
-                put_u64(body, h.replay_entries);
-                put_u64(body, h.reseed_entries);
-                body.push(u8::from(h.warm));
-                put_codec_set(body, h.version, &h.codecs);
-            }
-            Record::Payload {
-                packet_type,
-                codec,
-                bytes,
-            } => {
-                match codec {
-                    Some(id) => {
-                        body.push(KIND_PAYLOAD_TAGGED);
-                        body.push(id.as_u8());
-                    }
-                    None => body.push(KIND_PAYLOAD),
-                }
-                body.push(packet_type.number());
-                put_u32(body, bytes.len() as u32);
-                body.extend_from_slice(bytes);
-            }
-            Record::Control(update) => {
-                body.push(KIND_CONTROL);
-                put_update(body, update);
-            }
-            Record::Reseed(update) => {
-                body.push(KIND_RESEED);
-                put_update(body, update);
-            }
-            Record::Done(d) => {
-                body.push(KIND_DONE);
-                put_u64(body, d.bytes_in);
-                put_u64(body, d.payloads_emitted);
-                put_u64(body, d.wire_bytes);
-                put_u64(body, d.compressed_payloads);
-                put_u64(body, d.control_updates);
-                body.push(u8::from(d.server_initiated));
-            }
-            Record::Error(message) => {
-                body.push(KIND_ERROR);
-                body.extend_from_slice(message.as_bytes());
-            }
-            Record::FlowOpened { key, resume } => {
-                body.push(KIND_FLOW_OPENED);
-                put_flow_key(body, *key);
+            Record::EndFlow { key } => put_keyed(body, KIND_END_FLOW, *key),
+            Record::End => body.push(KIND_END),
+            Record::ServerHello(h) => put_hello(body, KIND_SERVER_HELLO, RESPONSE_MAGIC, &h.codecs),
+            Record::Opened { key, resume } => {
+                put_keyed(body, KIND_OPENED, *key);
                 put_u64(body, resume.resume_bytes_in);
                 put_u64(body, resume.replay_entries);
                 put_u64(body, resume.reseed_entries);
                 body.push(u8::from(resume.warm));
             }
-            Record::FlowPayload {
+            Record::Payload {
                 key,
                 packet_type,
                 codec,
                 bytes,
-            } => {
-                match codec {
-                    Some(id) => {
-                        body.push(KIND_FLOW_PAYLOAD_TAGGED);
-                        put_flow_key(body, *key);
-                        body.push(id.as_u8());
-                    }
-                    None => {
-                        body.push(KIND_FLOW_PAYLOAD);
-                        put_flow_key(body, *key);
-                    }
-                }
-                body.push(packet_type.number());
-                put_u32(body, bytes.len() as u32);
-                body.extend_from_slice(bytes);
-            }
-            Record::FlowControl { key, update } => {
-                body.push(KIND_FLOW_CONTROL);
-                put_flow_key(body, *key);
+            } => put_payload(body, *key, *codec, *packet_type, bytes),
+            Record::Control { key, update } => {
+                put_keyed(body, KIND_CONTROL, *key);
                 put_update(body, update);
             }
-            Record::FlowReseed { key, update } => {
-                body.push(KIND_FLOW_RESEED);
-                put_flow_key(body, *key);
+            Record::Reseed { key, update } => {
+                put_keyed(body, KIND_RESEED, *key);
                 put_update(body, update);
             }
             Record::FlowDone { key, summary } => {
-                body.push(KIND_FLOW_DONE);
-                put_flow_key(body, *key);
-                put_u64(body, summary.bytes_in);
-                put_u64(body, summary.payloads_emitted);
-                put_u64(body, summary.wire_bytes);
-                put_u64(body, summary.compressed_payloads);
-                put_u64(body, summary.control_updates);
-                body.push(u8::from(summary.server_initiated));
+                put_keyed(body, KIND_FLOW_DONE, *key);
+                put_done(body, summary);
+            }
+            Record::Done(done) => {
+                body.push(KIND_DONE);
+                put_done(body, done);
+            }
+            Record::Error(message) => {
+                body.push(KIND_ERROR);
+                body.extend_from_slice(message.as_bytes());
             }
         }
-        debug_assert!(!body.is_empty() && body.len() <= MAX_WIRE_RECORD_BYTES);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(body);
-        let crc = self.crc.compute_bytes(body) as u32;
-        out.extend_from_slice(&crc.to_le_bytes());
+        self.seal_into(out);
     }
 
     /// Frames `record` into a fresh buffer.
@@ -724,103 +662,62 @@ impl WireCodec {
         out
     }
 
-    /// Frames a `Payload` record straight from a borrowed byte slice (the
-    /// hot path — avoids the intermediate `Record::Payload` copy). `codec`
-    /// is the per-batch tag: `Some` frames the tagged `0x5C` kind, `None`
-    /// the plain `0x52`.
-    pub fn encode_payload(
-        &mut self,
-        codec: Option<CodecId>,
-        packet_type: PacketType,
-        bytes: &[u8],
-    ) -> Vec<u8> {
-        self.scratch.clear();
-        let body = &mut self.scratch;
-        match codec {
-            Some(id) => {
-                body.push(KIND_PAYLOAD_TAGGED);
-                body.push(id.as_u8());
-            }
-            None => body.push(KIND_PAYLOAD),
-        }
-        body.push(packet_type.number());
-        put_u32(body, bytes.len() as u32);
-        body.extend_from_slice(bytes);
-        self.seal()
-    }
-
-    /// Frames a `Data` record straight from a borrowed byte slice.
-    pub fn encode_data(&mut self, bytes: &[u8]) -> Vec<u8> {
-        self.scratch.clear();
-        self.scratch.push(KIND_DATA);
-        self.scratch.extend_from_slice(bytes);
-        self.seal()
-    }
-
-    /// Frames a `Control` record straight from a borrowed update.
-    pub fn encode_control(&mut self, update: &DictionaryUpdate) -> Vec<u8> {
-        self.scratch.clear();
-        self.scratch.push(KIND_CONTROL);
-        put_update(&mut self.scratch, update);
-        self.seal()
-    }
-
-    /// Frames a `FlowPayload` record straight from a borrowed byte slice
-    /// (the multiplexed hot path). `codec` is the per-batch tag: `Some`
-    /// frames the tagged `0x5D` kind, `None` the plain `0x58`.
-    pub fn encode_flow_payload(
+    /// Appends a framed `Payload` record straight from a borrowed byte slice
+    /// (the server's hot path — no intermediate `Record::Payload` copy).
+    pub fn encode_payload_into(
         &mut self,
         key: FlowKey,
         codec: Option<CodecId>,
         packet_type: PacketType,
         bytes: &[u8],
-    ) -> Vec<u8> {
+        out: &mut Vec<u8>,
+    ) {
         self.scratch.clear();
-        let body = &mut self.scratch;
-        match codec {
-            Some(id) => {
-                body.push(KIND_FLOW_PAYLOAD_TAGGED);
-                put_flow_key(body, key);
-                body.push(id.as_u8());
-            }
-            None => {
-                body.push(KIND_FLOW_PAYLOAD);
-                put_flow_key(body, key);
-            }
-        }
-        body.push(packet_type.number());
-        put_u32(body, bytes.len() as u32);
-        body.extend_from_slice(bytes);
-        self.seal()
+        put_payload(&mut self.scratch, key, codec, packet_type, bytes);
+        self.seal_into(out);
     }
 
-    /// Frames a `FlowControl` record straight from a borrowed update.
-    pub fn encode_flow_control(&mut self, key: FlowKey, update: &DictionaryUpdate) -> Vec<u8> {
+    /// Appends a framed `Control` record straight from a borrowed update.
+    pub fn encode_control_into(
+        &mut self,
+        key: FlowKey,
+        update: &DictionaryUpdate,
+        out: &mut Vec<u8>,
+    ) {
         self.scratch.clear();
-        self.scratch.push(KIND_FLOW_CONTROL);
-        put_flow_key(&mut self.scratch, key);
+        put_keyed(&mut self.scratch, KIND_CONTROL, key);
         put_update(&mut self.scratch, update);
-        self.seal()
+        self.seal_into(out);
     }
 
-    /// Frames a `FlowData` record straight from a borrowed byte slice.
+    /// Frames a `Data` record for `key` straight from a borrowed byte slice
+    /// (the client's hot path).
     pub fn encode_flow_data(&mut self, key: FlowKey, bytes: &[u8]) -> Vec<u8> {
         self.scratch.clear();
-        self.scratch.push(KIND_FLOW_DATA);
-        put_flow_key(&mut self.scratch, key);
+        put_keyed(&mut self.scratch, KIND_DATA, key);
         self.scratch.extend_from_slice(bytes);
         self.seal()
     }
 
+    /// [`Self::encode_flow_data`] for the unnamed flow `(0, 0)`.
+    pub fn encode_data(&mut self, bytes: &[u8]) -> Vec<u8> {
+        self.encode_flow_data(UNNAMED_FLOW, bytes)
+    }
+
     /// Frames whatever `scratch` currently holds as one record.
     fn seal(&mut self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.scratch.len() + 8);
+        self.seal_into(&mut out);
+        out
+    }
+
+    fn seal_into(&self, out: &mut Vec<u8>) {
         let body = &self.scratch;
-        let mut out = Vec::with_capacity(body.len() + 8);
+        debug_assert!(!body.is_empty() && body.len() <= MAX_WIRE_RECORD_BYTES);
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(body);
         let crc = self.crc.compute_bytes(body) as u32;
         out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Attempts to decode one record from the front of `buf`.
@@ -858,212 +755,90 @@ impl WireCodec {
             return Err(WireError::Malformed("empty payload".to_string()));
         };
         match kind {
-            KIND_CLIENT_HELLO => {
-                let mut r = BodyReader::new(body, "CLIENT_HELLO");
-                if r.take(4)? != REQUEST_MAGIC {
-                    return Err(WireError::BadMagic);
-                }
-                let version = r.u16()?;
-                if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-                    return Err(WireError::UnsupportedVersion(version));
-                }
-                let stream_id = r.u64()?;
+            KIND_CLIENT_HELLO => Ok(Record::ClientHello(ClientHello {
+                codecs: read_hello(body, "CLIENT_HELLO", REQUEST_MAGIC)?,
+            })),
+            KIND_OPEN => {
+                let mut r = BodyReader::new(body, "OPEN");
+                let key = read_flow_key(&mut r)?;
                 let entries_held = r.u64()?;
-                let multiplex = r.u8()? != 0;
-                let codecs = read_codec_set(&mut r, version)?;
                 r.finish()?;
-                Ok(Record::ClientHello(ClientHello {
-                    version,
-                    stream_id,
-                    entries_held,
-                    multiplex,
-                    codecs,
-                }))
+                Ok(Record::Open { key, entries_held })
             }
-            KIND_DATA => Ok(Record::Data(body.to_vec())),
+            KIND_DATA => {
+                let mut r = BodyReader::new(body, "DATA");
+                let key = read_flow_key(&mut r)?;
+                let bytes = r.rest().to_vec();
+                Ok(Record::Data { key, bytes })
+            }
+            KIND_END_FLOW => {
+                let mut r = BodyReader::new(body, "END_FLOW");
+                let key = read_flow_key(&mut r)?;
+                r.finish()?;
+                Ok(Record::EndFlow { key })
+            }
             KIND_END => {
                 BodyReader::new(body, "END").finish()?;
                 Ok(Record::End)
             }
-            KIND_FLOW_OPEN => {
-                let mut r = BodyReader::new(body, "FLOW_OPEN");
+            KIND_SERVER_HELLO => Ok(Record::ServerHello(ServerHello {
+                codecs: read_hello(body, "SERVER_HELLO", RESPONSE_MAGIC)?,
+            })),
+            KIND_OPENED => {
+                let mut r = BodyReader::new(body, "OPENED");
                 let key = read_flow_key(&mut r)?;
-                let entries_held = r.u64()?;
-                r.finish()?;
-                Ok(Record::FlowOpen { key, entries_held })
-            }
-            KIND_FLOW_DATA => {
-                let mut r = BodyReader::new(body, "FLOW_DATA");
-                let key = read_flow_key(&mut r)?;
-                let bytes = r.rest().to_vec();
-                Ok(Record::FlowData { key, bytes })
-            }
-            KIND_FLOW_END => {
-                let mut r = BodyReader::new(body, "FLOW_END");
-                let key = read_flow_key(&mut r)?;
-                r.finish()?;
-                Ok(Record::FlowEnd { key })
-            }
-            KIND_SERVER_HELLO => {
-                let mut r = BodyReader::new(body, "SERVER_HELLO");
-                if r.take(4)? != RESPONSE_MAGIC {
-                    return Err(WireError::BadMagic);
-                }
-                let version = r.u16()?;
-                if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-                    return Err(WireError::UnsupportedVersion(version));
-                }
-                let resume_bytes_in = r.u64()?;
-                let replay_entries = r.u64()?;
-                let reseed_entries = r.u64()?;
-                let warm = r.u8()? != 0;
-                let codecs = read_codec_set(&mut r, version)?;
-                r.finish()?;
-                Ok(Record::ServerHello(ServerHello {
-                    version,
-                    resume_bytes_in,
-                    replay_entries,
-                    reseed_entries,
-                    warm,
-                    codecs,
-                }))
-            }
-            KIND_PAYLOAD => {
-                let mut r = BodyReader::new(body, "PAYLOAD");
-                let packet_type = packet_type_from(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
-                r.finish()?;
-                Ok(Record::Payload {
-                    packet_type,
-                    codec: None,
-                    bytes,
-                })
-            }
-            KIND_PAYLOAD_TAGGED => {
-                let mut r = BodyReader::new(body, "PAYLOAD_TAGGED");
-                let raw = r.u8()?;
-                let Some(codec) = codec_from_u8(raw) else {
-                    return Err(WireError::UnknownCodec(raw));
-                };
-                let packet_type = packet_type_from(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
-                r.finish()?;
-                Ok(Record::Payload {
-                    packet_type,
-                    codec: Some(codec),
-                    bytes,
-                })
-            }
-            KIND_CONTROL => {
-                let mut r = BodyReader::new(body, "CONTROL");
-                let update = read_update(&mut r)?;
-                r.finish()?;
-                Ok(Record::Control(update))
-            }
-            KIND_RESEED => {
-                let mut r = BodyReader::new(body, "RESEED");
-                let update = read_update(&mut r)?;
-                r.finish()?;
-                Ok(Record::Reseed(update))
-            }
-            KIND_DONE => {
-                let mut r = BodyReader::new(body, "DONE");
-                let done = DoneSummary {
-                    bytes_in: r.u64()?,
-                    payloads_emitted: r.u64()?,
-                    wire_bytes: r.u64()?,
-                    compressed_payloads: r.u64()?,
-                    control_updates: r.u64()?,
-                    server_initiated: r.u8()? != 0,
-                };
-                r.finish()?;
-                Ok(Record::Done(done))
-            }
-            KIND_ERROR => {
-                let mut r = BodyReader::new(body, "ERROR");
-                let bytes = r.rest();
-                let message = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| WireError::Malformed("ERROR: message is not UTF-8".into()))?;
-                Ok(Record::Error(message))
-            }
-            KIND_FLOW_OPENED => {
-                let mut r = BodyReader::new(body, "FLOW_OPENED");
-                let key = read_flow_key(&mut r)?;
-                // The embedded resume plan carries only the resume fields;
-                // version and codec set were negotiated by the connection
-                // hello, so the per-flow copy inherits neutral defaults.
-                let resume = ServerHello {
-                    version: WIRE_VERSION,
+                let resume = ResumeSummary {
                     resume_bytes_in: r.u64()?,
                     replay_entries: r.u64()?,
                     reseed_entries: r.u64()?,
                     warm: r.u8()? != 0,
-                    codecs: Vec::new(),
                 };
                 r.finish()?;
-                Ok(Record::FlowOpened { key, resume })
+                Ok(Record::Opened { key, resume })
             }
-            KIND_FLOW_PAYLOAD => {
-                let mut r = BodyReader::new(body, "FLOW_PAYLOAD");
+            KIND_PAYLOAD => {
+                let mut r = BodyReader::new(body, "PAYLOAD");
                 let key = read_flow_key(&mut r)?;
-                let packet_type = packet_type_from(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
-                r.finish()?;
-                Ok(Record::FlowPayload {
-                    key,
-                    packet_type,
-                    codec: None,
-                    bytes,
-                })
-            }
-            KIND_FLOW_PAYLOAD_TAGGED => {
-                let mut r = BodyReader::new(body, "FLOW_PAYLOAD_TAGGED");
-                let key = read_flow_key(&mut r)?;
-                let raw = r.u8()?;
-                let Some(codec) = codec_from_u8(raw) else {
-                    return Err(WireError::UnknownCodec(raw));
+                let codec = match r.u8()? {
+                    0 => None,
+                    raw => Some(codec_from_u8(raw).ok_or(WireError::UnknownCodec(raw))?),
                 };
                 let packet_type = packet_type_from(r.u8()?)?;
                 let len = r.u32()? as usize;
                 let bytes = r.take(len)?.to_vec();
                 r.finish()?;
-                Ok(Record::FlowPayload {
+                Ok(Record::Payload {
                     key,
                     packet_type,
-                    codec: Some(codec),
+                    codec,
                     bytes,
                 })
             }
-            KIND_FLOW_CONTROL => {
-                let mut r = BodyReader::new(body, "FLOW_CONTROL");
-                let key = read_flow_key(&mut r)?;
-                let update = read_update(&mut r)?;
-                r.finish()?;
-                Ok(Record::FlowControl { key, update })
+            KIND_CONTROL => {
+                let (key, update) = read_keyed_update(body, "CONTROL")?;
+                Ok(Record::Control { key, update })
             }
-            KIND_FLOW_RESEED => {
-                let mut r = BodyReader::new(body, "FLOW_RESEED");
-                let key = read_flow_key(&mut r)?;
-                let update = read_update(&mut r)?;
-                r.finish()?;
-                Ok(Record::FlowReseed { key, update })
+            KIND_RESEED => {
+                let (key, update) = read_keyed_update(body, "RESEED")?;
+                Ok(Record::Reseed { key, update })
             }
             KIND_FLOW_DONE => {
                 let mut r = BodyReader::new(body, "FLOW_DONE");
                 let key = read_flow_key(&mut r)?;
-                let summary = DoneSummary {
-                    bytes_in: r.u64()?,
-                    payloads_emitted: r.u64()?,
-                    wire_bytes: r.u64()?,
-                    compressed_payloads: r.u64()?,
-                    control_updates: r.u64()?,
-                    server_initiated: r.u8()? != 0,
-                };
+                let summary = read_done(&mut r)?;
                 r.finish()?;
                 Ok(Record::FlowDone { key, summary })
+            }
+            KIND_DONE => {
+                let mut r = BodyReader::new(body, "DONE");
+                let done = read_done(&mut r)?;
+                r.finish()?;
+                Ok(Record::Done(done))
+            }
+            KIND_ERROR => {
+                let message = String::from_utf8(body.to_vec())
+                    .map_err(|_| WireError::Malformed("ERROR: message is not UTF-8".into()))?;
+                Ok(Record::Error(message))
             }
             other => Err(WireError::UnknownKind(other)),
         }
@@ -1080,6 +855,10 @@ pub struct RecordReader<R> {
     codec: WireCodec,
     buf: Vec<u8>,
     start: usize,
+    /// Landing area of one `read` call, kept across calls: at one small
+    /// record per read, zeroing a fresh one each time costs more than the
+    /// read.
+    chunk: Vec<u8>,
 }
 
 impl<R: Read> RecordReader<R> {
@@ -1090,6 +869,7 @@ impl<R: Read> RecordReader<R> {
             codec: WireCodec::new(),
             buf: Vec::with_capacity(16 * 1024),
             start: 0,
+            chunk: vec![0u8; 16 * 1024],
         }
     }
 
@@ -1108,8 +888,7 @@ impl<R: Read> RecordReader<R> {
                 self.buf.drain(..self.start);
                 self.start = 0;
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.inner.read(&mut chunk) {
+            match self.inner.read(&mut self.chunk) {
                 Ok(0) => {
                     return if self.buf.is_empty() {
                         Ok(None)
@@ -1117,7 +896,7 @@ impl<R: Read> RecordReader<R> {
                         Err(WireError::Truncated)
                     };
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.buf.extend_from_slice(&self.chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(WireError::Io(e)),
             }
@@ -1144,88 +923,47 @@ mod tests {
     fn sample_records() -> Vec<Record> {
         vec![
             Record::ClientHello(ClientHello {
-                version: WIRE_VERSION,
-                stream_id: 0xDEAD_BEEF,
-                entries_held: 7,
-                multiplex: true,
                 codecs: vec![zipline_engine::CODEC_GD, zipline_engine::CODEC_DEFLATE],
             }),
-            Record::Data(vec![0u8; 32]),
-            Record::Data((0..=255u8).collect()),
-            Record::End,
-            Record::FlowOpen {
+            Record::Open {
                 key: sample_key(),
                 entries_held: 11,
             },
-            Record::FlowData {
+            Record::Data {
                 key: sample_key(),
                 bytes: vec![5u8; 48],
             },
-            Record::FlowEnd { key: sample_key() },
+            Record::Data {
+                key: FlowKey::new(0, 0),
+                bytes: (0..=255u8).collect(),
+            },
+            Record::EndFlow { key: sample_key() },
+            Record::End,
             Record::ServerHello(ServerHello {
-                version: WIRE_VERSION,
-                resume_bytes_in: 8192,
-                replay_entries: 3,
-                reseed_entries: 0,
-                warm: true,
                 codecs: vec![zipline_engine::CODEC_GD],
             }),
-            Record::Payload {
-                packet_type: PacketType::Compressed,
-                codec: None,
-                bytes: vec![1, 2, 3, 4],
-            },
-            Record::Payload {
-                packet_type: PacketType::Compressed,
-                codec: Some(zipline_engine::CODEC_DEFLATE),
-                bytes: vec![11, 12, 13],
-            },
-            Record::Control(DictionaryUpdate {
-                seq: 9,
-                at: 41,
-                op: UpdateOp::Install {
-                    id: 12,
-                    basis: BitVec::from_bytes(&[0xAB, 0xCD, 0xEF]),
-                },
-            }),
-            Record::Reseed(DictionaryUpdate {
-                seq: 0,
-                at: 0,
-                op: UpdateOp::Remove { id: 3 },
-            }),
-            Record::Done(DoneSummary {
-                bytes_in: 1,
-                payloads_emitted: 2,
-                wire_bytes: 3,
-                compressed_payloads: 4,
-                control_updates: 5,
-                server_initiated: true,
-            }),
-            Record::Error("engine exploded".into()),
-            Record::FlowOpened {
+            Record::Opened {
                 key: sample_key(),
-                resume: ServerHello {
-                    version: WIRE_VERSION,
+                resume: ResumeSummary {
                     resume_bytes_in: 4096,
                     replay_entries: 2,
                     reseed_entries: 1,
                     warm: true,
-                    codecs: Vec::new(),
                 },
             },
-            Record::FlowPayload {
+            Record::Payload {
                 key: sample_key(),
                 packet_type: PacketType::Uncompressed,
                 codec: None,
                 bytes: vec![6, 7, 8],
             },
-            Record::FlowPayload {
+            Record::Payload {
                 key: sample_key(),
-                packet_type: PacketType::Uncompressed,
-                codec: Some(zipline_engine::CODEC_GD),
-                bytes: vec![16, 17],
+                packet_type: PacketType::Compressed,
+                codec: Some(zipline_engine::CODEC_DEFLATE),
+                bytes: vec![11, 12, 13],
             },
-            Record::FlowControl {
+            Record::Control {
                 key: sample_key(),
                 update: DictionaryUpdate {
                     seq: 13,
@@ -1236,7 +974,7 @@ mod tests {
                     },
                 },
             },
-            Record::FlowReseed {
+            Record::Reseed {
                 key: sample_key(),
                 update: DictionaryUpdate {
                     seq: 1,
@@ -1255,7 +993,24 @@ mod tests {
                     server_initiated: false,
                 },
             },
+            Record::Done(DoneSummary {
+                bytes_in: 1,
+                payloads_emitted: 2,
+                wire_bytes: 3,
+                compressed_payloads: 4,
+                control_updates: 5,
+                server_initiated: true,
+            }),
+            Record::Error("engine exploded".into()),
         ]
+    }
+
+    /// Replaces `frame`'s trailing CRC with the one its (patched) body
+    /// now needs, so a test frame fails on the patch, not the checksum.
+    fn reseal(frame: &mut [u8]) {
+        let body_end = frame.len() - 4;
+        let crc = WireCodec::new().crc.compute_bytes(&frame[4..body_end]) as u32;
+        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Exhaustiveness companion to `sample_records`: every declared
@@ -1266,24 +1021,18 @@ mod tests {
     fn every_declared_kind_byte_is_encoded_by_a_sample_record() {
         let declared = [
             KIND_CLIENT_HELLO,
+            KIND_OPEN,
             KIND_DATA,
+            KIND_END_FLOW,
             KIND_END,
-            KIND_FLOW_OPEN,
-            KIND_FLOW_DATA,
-            KIND_FLOW_END,
             KIND_SERVER_HELLO,
+            KIND_OPENED,
             KIND_PAYLOAD,
             KIND_CONTROL,
-            KIND_DONE,
             KIND_ERROR,
             KIND_RESEED,
-            KIND_FLOW_OPENED,
-            KIND_FLOW_PAYLOAD,
-            KIND_FLOW_CONTROL,
-            KIND_FLOW_RESEED,
             KIND_FLOW_DONE,
-            KIND_PAYLOAD_TAGGED,
-            KIND_FLOW_PAYLOAD_TAGGED,
+            KIND_DONE,
         ];
         let mut codec = WireCodec::new();
         // The kind byte sits directly after the 4-byte length prefix.
@@ -1364,226 +1113,155 @@ mod tests {
                 basis: BitVec::from_bytes(&[0x55; 8]),
             },
         };
-        assert_eq!(
-            codec.encode_payload(None, PacketType::Uncompressed, &[9, 8, 7]),
-            codec.encode(&Record::Payload {
-                packet_type: PacketType::Uncompressed,
-                codec: None,
-                bytes: vec![9, 8, 7],
-            })
-        );
-        assert_eq!(
-            codec.encode_payload(
-                Some(zipline_engine::CODEC_DEFLATE),
-                PacketType::Compressed,
-                &[9, 8]
-            ),
-            codec.encode(&Record::Payload {
-                packet_type: PacketType::Compressed,
-                codec: Some(zipline_engine::CODEC_DEFLATE),
-                bytes: vec![9, 8],
-            })
-        );
-        assert_eq!(
-            codec.encode_control(&update),
-            codec.encode(&Record::Control(update.clone()))
-        );
-        assert_eq!(
-            codec.encode_data(&[1, 2, 3]),
-            codec.encode(&Record::Data(vec![1, 2, 3]))
-        );
-        assert_eq!(
-            codec.encode_flow_payload(sample_key(), None, PacketType::Raw, &[4, 5]),
-            codec.encode(&Record::FlowPayload {
-                key: sample_key(),
-                packet_type: PacketType::Raw,
-                codec: None,
-                bytes: vec![4, 5],
-            })
-        );
-        assert_eq!(
-            codec.encode_flow_payload(
+        for tag in [None, Some(zipline_engine::CODEC_DEFLATE)] {
+            let mut framed = Vec::new();
+            codec.encode_payload_into(
                 sample_key(),
-                Some(zipline_engine::CODEC_GD),
+                tag,
                 PacketType::Compressed,
-                &[4]
-            ),
-            codec.encode(&Record::FlowPayload {
-                key: sample_key(),
-                packet_type: PacketType::Compressed,
-                codec: Some(zipline_engine::CODEC_GD),
-                bytes: vec![4],
-            })
-        );
+                &[9, 8, 7],
+                &mut framed,
+            );
+            assert_eq!(
+                framed,
+                codec.encode(&Record::Payload {
+                    key: sample_key(),
+                    packet_type: PacketType::Compressed,
+                    codec: tag,
+                    bytes: vec![9, 8, 7],
+                })
+            );
+        }
+        let mut framed = Vec::new();
+        codec.encode_control_into(sample_key(), &update, &mut framed);
         assert_eq!(
-            codec.encode_flow_control(sample_key(), &update),
-            codec.encode(&Record::FlowControl {
+            framed,
+            codec.encode(&Record::Control {
                 key: sample_key(),
                 update,
             })
         );
         assert_eq!(
             codec.encode_flow_data(sample_key(), &[6]),
-            codec.encode(&Record::FlowData {
+            codec.encode(&Record::Data {
                 key: sample_key(),
                 bytes: vec![6],
             })
         );
-    }
-
-    /// A version-1 peer's hello decodes to `UnsupportedVersion` — the
-    /// server answers with a typed `ERROR` record (covered end-to-end by
-    /// the `flow_mux` suite) instead of crashing or mis-parsing.
-    #[test]
-    fn version_one_hellos_are_rejected() {
-        // Hand-craft a v1 CLIENT_HELLO frame: magic + version 1 + stream
-        // id + cursor (no multiplex byte — the v1 body).
-        let mut body = vec![KIND_CLIENT_HELLO];
-        body.extend_from_slice(&REQUEST_MAGIC);
-        put_u16(&mut body, 1);
-        put_u64(&mut body, 77);
-        put_u64(&mut body, 0);
-        let crc = WireCodec::new().crc.compute_bytes(&body) as u32;
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc.to_le_bytes());
-
-        let codec = WireCodec::new();
-        assert!(matches!(
-            codec.decode(&frame),
-            Err(WireError::UnsupportedVersion(1))
-        ));
-
-        // Same for a v1 SERVER_HELLO, so an old server is equally loud.
-        let mut body = vec![KIND_SERVER_HELLO];
-        body.extend_from_slice(&RESPONSE_MAGIC);
-        put_u16(&mut body, 1);
-        put_u64(&mut body, 0);
-        put_u64(&mut body, 0);
-        put_u64(&mut body, 0);
-        body.push(0);
-        let crc = WireCodec::new().crc.compute_bytes(&body) as u32;
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            codec.decode(&frame),
-            Err(WireError::UnsupportedVersion(1))
-        ));
-    }
-
-    /// A version-2 peer (pre-registry, no codec set) still connects: its
-    /// exact historical hello body parses to a hello with an empty codec
-    /// set, which the server treats as "fixed backend, untagged stream".
-    #[test]
-    fn version_two_hellos_are_accepted_with_an_empty_codec_set() {
-        let codec = WireCodec::new();
-
-        // Hand-craft the exact v2 CLIENT_HELLO body: magic + version 2 +
-        // stream id + cursor + multiplex flag, nothing after.
-        let mut body = vec![KIND_CLIENT_HELLO];
-        body.extend_from_slice(&REQUEST_MAGIC);
-        put_u16(&mut body, 2);
-        put_u64(&mut body, 42);
-        put_u64(&mut body, 5);
-        body.push(1);
-        let crc = WireCodec::new().crc.compute_bytes(&body) as u32;
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        let (record, used) = codec
-            .decode(&frame)
-            .expect("v2 hello parses")
-            .expect("whole");
-        assert_eq!(used, frame.len());
         assert_eq!(
-            record,
-            Record::ClientHello(ClientHello {
-                version: 2,
-                stream_id: 42,
-                entries_held: 5,
-                multiplex: true,
-                codecs: Vec::new(),
+            codec.encode_data(&[1, 2, 3]),
+            codec.encode(&Record::Data {
+                key: FlowKey::new(0, 0),
+                bytes: vec![1, 2, 3],
             })
         );
+    }
 
-        // And the exact v2 SERVER_HELLO body.
-        let mut body = vec![KIND_SERVER_HELLO];
-        body.extend_from_slice(&RESPONSE_MAGIC);
-        put_u16(&mut body, 2);
-        put_u64(&mut body, 1024);
-        put_u64(&mut body, 2);
-        put_u64(&mut body, 1);
-        body.push(0);
-        let crc = WireCodec::new().crc.compute_bytes(&body) as u32;
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        let (record, _) = codec
-            .decode(&frame)
-            .expect("v2 hello parses")
-            .expect("whole");
-        assert_eq!(
-            record,
-            Record::ServerHello(ServerHello {
-                version: 2,
-                resume_bytes_in: 1024,
-                replay_entries: 2,
-                reseed_entries: 1,
-                warm: false,
-                codecs: Vec::new(),
-            })
+    /// There is one version: a hello of any other — older or newer, client
+    /// or server — decodes to `UnsupportedVersion`, whatever follows the
+    /// version field. The server answers with a typed `ERROR` record
+    /// (covered end-to-end by the `flow_mux` suite).
+    #[test]
+    fn hellos_of_any_other_version_are_rejected() {
+        let mut codec = WireCodec::new();
+        let hellos = [
+            codec.encode(&Record::ClientHello(ClientHello::default())),
+            codec.encode(&Record::ServerHello(ServerHello::default())),
+        ];
+        for hello in hellos {
+            for version in [1u16, 2, 3, 5] {
+                let mut frame = hello.clone();
+                // len(4) kind(1) magic(4), then the version field.
+                frame[9..11].copy_from_slice(&version.to_le_bytes());
+                reseal(&mut frame);
+                assert!(
+                    matches!(codec.decode(&frame), Err(WireError::UnsupportedVersion(v)) if v == version),
+                    "version {version} must be refused"
+                );
+            }
+        }
+        let refusal = WireError::UnsupportedVersion(3).to_string();
+        assert!(
+            refusal.contains(&format!("version {WIRE_VERSION}")),
+            "the refusal names the supported version: {refusal}"
         );
-
-        // A hello encoded at version 2 through the codec produces the
-        // same historical body shape — no codec-set suffix.
-        let mut v2_codec = WireCodec::new();
-        let encoded = v2_codec.encode(&Record::ClientHello(ClientHello {
-            version: 2,
-            stream_id: 42,
-            entries_held: 5,
-            multiplex: true,
-            codecs: vec![zipline_engine::CODEC_GD],
-        }));
-        assert_eq!(encoded, frame_of_v2_client_hello());
     }
 
-    fn frame_of_v2_client_hello() -> Vec<u8> {
-        let mut body = vec![KIND_CLIENT_HELLO];
-        body.extend_from_slice(&REQUEST_MAGIC);
-        put_u16(&mut body, 2);
-        put_u64(&mut body, 42);
-        put_u64(&mut body, 5);
-        body.push(1);
-        let crc = WireCodec::new().crc.compute_bytes(&body) as u32;
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame
-    }
-
-    /// A tagged payload naming a codec id outside the registry's range is
-    /// a typed error, not a panic or a silent mis-decode.
+    /// A payload naming a codec id outside the registry's range is a typed
+    /// error, not a panic or a silent mis-decode.
     #[test]
     fn unknown_codec_tags_are_rejected_with_a_typed_error() {
         let mut codec = WireCodec::new();
-        // Encode a valid tagged payload, then corrupt the codec id byte
-        // (directly after the kind byte) to an unassigned value.
-        let mut frame = codec.encode(&Record::Payload {
-            packet_type: PacketType::Compressed,
-            codec: Some(zipline_engine::CODEC_GD),
-            bytes: vec![1, 2],
-        });
-        frame[5] = 0xEE;
-        // Recompute the trailer CRC over the patched body so the frame
-        // fails on the codec id, not the checksum.
-        let body_end = frame.len() - 4;
-        let crc = WireCodec::new().crc.compute_bytes(&frame[4..body_end]) as u32;
-        frame[body_end..].copy_from_slice(&crc.to_le_bytes());
+        let mut payload = |tag| {
+            codec.encode(&Record::Payload {
+                key: sample_key(),
+                packet_type: PacketType::Compressed,
+                codec: tag,
+                bytes: vec![1, 2],
+            })
+        };
+        // The codec byte is where a tagged and an untagged frame first
+        // differ.
+        let mut frame = payload(Some(zipline_engine::CODEC_GD));
+        let untagged = payload(None);
+        let at = (0..frame.len())
+            .find(|&i| frame[i] != untagged[i])
+            .expect("the tag is on the wire");
+        assert_eq!(frame[at], zipline_engine::CODEC_GD.as_u8());
+        frame[at] = 0xEE;
+        reseal(&mut frame);
         assert!(matches!(
             codec.decode(&frame),
             Err(WireError::UnknownCodec(0xEE))
         ));
+    }
+
+    /// Flow keys are bounded varints: every `u64` roundtrips in at most
+    /// ten bytes, small ids in one, and an encoding that runs past 64 bits
+    /// is a typed error rather than a wrapped key.
+    #[test]
+    fn flow_keys_are_bounded_varints() {
+        let codec = WireCodec::new();
+        let end_flow = |tenant, flow| {
+            WireCodec::new().encode(&Record::EndFlow {
+                key: FlowKey::new(tenant, flow),
+            })
+        };
+        // len(4) kind(1) key crc(4).
+        assert_eq!(end_flow(0, 0x7F).len(), 4 + 1 + 2 + 4);
+        assert_eq!(end_flow(0x80, 0).len(), 4 + 1 + 3 + 4);
+        let widest = end_flow(u64::MAX, u64::MAX);
+        assert_eq!(widest.len(), 4 + 1 + 20 + 4);
+        for (tenant, flow) in [
+            (0, 0),
+            (0x7F, 0x80),
+            (1 << 62, 1 << 63),
+            (u64::MAX, u64::MAX),
+        ] {
+            let frame = end_flow(tenant, flow);
+            let (record, _) = codec.decode(&frame).expect("valid").expect("whole");
+            assert_eq!(
+                record,
+                Record::EndFlow {
+                    key: FlowKey::new(tenant, flow)
+                }
+            );
+        }
+
+        // The tenant's tenth byte carries more than the one bit left.
+        let mut overflowing = widest.clone();
+        overflowing[14] = 0x02;
+        reseal(&mut overflowing);
+        // An eleventh continuation byte.
+        let mut endless = widest;
+        endless[14] = 0x81;
+        reseal(&mut endless);
+        for frame in [overflowing, endless] {
+            assert!(matches!(
+                codec.decode(&frame),
+                Err(WireError::Malformed(message)) if message.contains("varint")
+            ));
+        }
     }
 
     #[test]

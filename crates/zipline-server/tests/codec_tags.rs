@@ -4,10 +4,10 @@
 //! * Property: a mixed-codec stream served by the `auto` router arrives
 //!   fully tagged and a [`RegistryDecompressor`] reconstructs the input
 //!   from the tags alone — no out-of-band codec agreement.
-//! * Compatibility: a wire-v2 client gets a byte-compatible v2 session
-//!   from a fixed-backend server, and a **typed** refusal (not a hang or
-//!   a torn frame) from a tagging server; a v3 client advertising a codec
-//!   set that misses a backend codec is refused the same way.
+//! * Negotiation: a fixed-backend server advertises its one codec and
+//!   leaves every payload's codec byte 0 ("the flow's fixed backend"); a
+//!   client advertising a codec set that misses a backend codec gets a
+//!   **typed** refusal (not a hang or a torn frame).
 //! * Durability: a durable `auto` server killed mid-stream preserves the
 //!   per-batch tags in its journal — after restart, replay + resumed
 //!   stream decode bit-identically to the full input.
@@ -25,8 +25,8 @@ use zipline_engine::{
 use zipline_gd::packet::PacketType;
 use zipline_gd::GdConfig;
 use zipline_server::{
-    BackendChoice, ClientHello, ClientSession, Endpoint, Record, RecordReader, ServerConfigBuilder,
-    ServerEvent, ServerHandle, WireCodec, WIRE_VERSION,
+    BackendChoice, ClientHello, ClientSession, Endpoint, FlowKey, Record, RecordReader,
+    ServerConfigBuilder, ServerEvent, ServerHandle, WireCodec,
 };
 
 const CHUNK: usize = 32;
@@ -148,12 +148,7 @@ proptest! {
         let data = mixed_data(seed, segments, batches_per_segment);
         let server = bind(BackendChoice::Auto, None);
         let mut session = ClientSession::connect(server.endpoint()).expect("connects");
-        let hello = session.hello(STREAM_ID, 0).expect("hello answered");
-        prop_assert_eq!(hello.version, WIRE_VERSION);
-        prop_assert!(
-            hello.codecs.contains(&CODEC_GD) && hello.codecs.contains(&CODEC_DEFLATE),
-            "a tagging server advertises its codec set: {:?}", hello.codecs
-        );
+        session.hello(STREAM_ID, 0).expect("hello answered");
         for chunk in data.chunks(CHUNK) {
             session.send_data(chunk).expect("data sent");
         }
@@ -175,10 +170,10 @@ proptest! {
     }
 }
 
-/// Raw v2/v3 clients against fixed and tagging servers: the negotiation
-/// matrix of `docs/container-format.md`, over real sockets.
+/// Raw clients against fixed and tagging servers: the negotiation rule of
+/// `docs/container-format.md`, over real sockets.
 #[test]
-fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_tagging_ones() {
+fn servers_advertise_their_codecs_and_refuse_codec_sets_that_miss_one() {
     let connect = |endpoint: &Endpoint| -> TcpStream {
         match endpoint {
             Endpoint::Tcp(addr) => TcpStream::connect(addr).expect("connects"),
@@ -186,46 +181,49 @@ fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_taggin
             Endpoint::Unix(_) => unreachable!("tests bind TCP"),
         }
     };
-    let hello = |version: u16, codecs: Vec<CodecId>| {
-        let mut hello = ClientHello::new(STREAM_ID, 0);
-        hello.version = version;
-        hello.codecs = codecs;
-        Record::ClientHello(hello)
-    };
+    let hello = |codecs: Vec<CodecId>| Record::ClientHello(ClientHello { codecs });
+    let key = FlowKey::new(0, STREAM_ID);
 
-    // A v2 client against a fixed GD backend: full byte-compatible session
-    // — v2 hello back, plain untagged payloads, clean DONE.
+    // An unstated codec set against a fixed GD backend: the hello names the
+    // one codec, payloads carry codec byte 0 (`None`), clean DONE.
     let server = bind(BackendChoice::Gd, None);
     let mut conn = connect(server.endpoint());
     let mut codec = WireCodec::new();
-    conn.write_all(&codec.encode(&hello(2, Vec::new())))
-        .expect("hello sent");
     let data = vec![7u8; CHUNK * BATCH_CHUNKS];
-    conn.write_all(&codec.encode(&Record::Data(data.clone())))
-        .expect("data sent");
-    conn.write_all(&codec.encode(&Record::End))
-        .expect("end sent");
+    for record in [
+        hello(Vec::new()),
+        Record::Open {
+            key,
+            entries_held: 0,
+        },
+        Record::Data {
+            key,
+            bytes: data.clone(),
+        },
+        Record::End,
+    ] {
+        conn.write_all(&codec.encode(&record)).expect("record sent");
+    }
     let mut reader = RecordReader::new(conn.try_clone().expect("clone socket"));
     match reader.read_record().expect("reply parses") {
-        Some(Record::ServerHello(answer)) => {
-            assert_eq!(answer.version, 2, "v2 peers get v2-shaped replies");
-            assert!(
-                answer.codecs.is_empty(),
-                "a v2 reply cannot carry a codec set"
-            );
-        }
+        Some(Record::ServerHello(answer)) => assert_eq!(
+            answer.codecs,
+            vec![CODEC_GD],
+            "a fixed backend advertises exactly its codec"
+        ),
         other => panic!("expected SERVER_HELLO, got {other:?}"),
     }
     let mut payloads = 0usize;
     loop {
         match reader.read_record().expect("record parses") {
             Some(Record::Payload { codec, .. }) => {
-                assert_eq!(codec, None, "v2 sessions never carry tagged payloads");
+                assert_eq!(codec, None, "a fixed backend leaves the codec byte 0");
                 payloads += 1;
             }
-            Some(Record::Control(_)) | Some(Record::Reseed(_)) => {}
+            Some(Record::Opened { .. } | Record::Control { .. } | Record::FlowDone { .. }) => {}
             Some(Record::Done(done)) => {
                 assert_eq!(done.bytes_in, data.len() as u64);
+                assert!(!done.server_initiated);
                 break;
             }
             other => panic!("unexpected record {other:?}"),
@@ -234,29 +232,24 @@ fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_taggin
     assert!(payloads > 0, "the batch produced at least one payload");
     drop(server.shutdown());
 
-    // A v2 client against the tagging auto router: refused with a typed
-    // ERROR record naming the problem, before any payload flows.
+    // The tagging auto router advertises every codec it may route to.
     let server = bind(BackendChoice::Auto, None);
-    let mut conn = connect(server.endpoint());
-    let mut codec = WireCodec::new();
-    conn.write_all(&codec.encode(&hello(2, Vec::new())))
-        .expect("hello sent");
-    let mut reader = RecordReader::new(conn.try_clone().expect("clone socket"));
-    match reader.read_record().expect("reply parses") {
-        Some(Record::Error(message)) => assert!(
-            message.contains("codec tags"),
-            "the refusal names the incompatibility: {message}"
-        ),
-        other => panic!("expected ERROR, got {other:?}"),
-    }
+    let mut session = ClientSession::connect(server.endpoint()).expect("connects");
+    let answer = session.hello_multiplex().expect("hello answered");
+    assert!(
+        answer.codecs.contains(&CODEC_GD) && answer.codecs.contains(&CODEC_DEFLATE),
+        "a tagging server advertises its codec set: {:?}",
+        answer.codecs
+    );
+    drop(session);
     drop(server.shutdown());
 
-    // A v3 client whose advertised codec set misses a codec the backend
-    // may emit: same typed refusal.
+    // A client whose advertised codec set misses a codec the backend may
+    // emit: refused with a typed ERROR record naming it, before any
+    // payload flows.
     let server = bind(BackendChoice::Auto, None);
     let mut conn = connect(server.endpoint());
-    let mut codec = WireCodec::new();
-    conn.write_all(&codec.encode(&hello(WIRE_VERSION, vec![CODEC_DEFLATE])))
+    conn.write_all(&codec.encode(&hello(vec![CODEC_DEFLATE])))
         .expect("hello sent");
     let mut reader = RecordReader::new(conn.try_clone().expect("clone socket"));
     match reader.read_record().expect("reply parses") {

@@ -9,11 +9,20 @@
 //! reconnecting client presents its replay cursor (`entries_held`); the
 //! server replays the committed journal past it and names the input byte
 //! offset to resume from.
+//!
+//! The durable layout is older than the wire: a store written by the
+//! pre-v4 classic handler for stream `S` must resume, bit-identically, as
+//! flow `(0, S)` — the second test builds such a store the way that handler
+//! did and resumes it over the socket.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
 
 use zipline::host::HostPathConfig;
-use zipline_engine::{DictionaryUpdate, EngineConfig, SpawnPolicy, SyncPolicy};
+use zipline_engine::{
+    CompressionBackend, DictionaryUpdate, EngineConfig, GdBackend, PipelinedStream, SpawnPolicy,
+    SyncPolicy,
+};
 use zipline_gd::packet::PacketType;
 use zipline_gd::GdConfig;
 use zipline_server::{
@@ -77,9 +86,9 @@ fn bind(dir: PathBuf) -> ServerHandle {
 
 /// Streams `bytes` (chunked) through one clean session, returning every
 /// payload/control entry in order.
-fn uninterrupted_run(endpoint: &Endpoint, bytes: &[u8]) -> Vec<Entry> {
+fn uninterrupted_run(endpoint: &Endpoint, stream_id: u64, bytes: &[u8]) -> Vec<Entry> {
     let mut session = ClientSession::connect(endpoint).expect("connects");
-    let hello = session.hello(STREAM_ID, 0).expect("hello answered");
+    let hello = session.hello(stream_id, 0).expect("hello answered");
     assert_eq!(hello.replay_entries, 0, "fresh store has nothing to replay");
     for chunk in bytes.chunks(CHUNK) {
         session.send_data(chunk).expect("data sent");
@@ -102,7 +111,7 @@ fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
     // dies.
     let ref_dir = temp_root("ref");
     let ref_server = bind(ref_dir.clone());
-    let reference = uninterrupted_run(ref_server.endpoint(), &full_bytes);
+    let reference = uninterrupted_run(ref_server.endpoint(), STREAM_ID, &full_bytes);
     let report = ref_server.shutdown();
     assert!(report.errors.is_empty(), "{:?}", report.errors);
     assert!(
@@ -231,4 +240,80 @@ fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+/// Wire v4 moved framing, not storage: a store the pre-v4 classic handler
+/// left behind for stream `S` — one pipelined engine journaling under
+/// `stream_dir(root, S)`, killed mid-stream — resumes under the unified
+/// session as flow `(0, S)`, and pre-crash + resumed records are
+/// bit-identical to an uninterrupted run.
+#[test]
+fn a_store_written_by_the_classic_handler_resumes_as_the_tenant_zero_flow() {
+    const LEGACY_STREAM: u64 = 0x1E6AC7;
+    let workload = CrashWorkload::exceeding_capacity(64, 4, CHUNK);
+    let full_bytes = workload.full().bytes();
+
+    let ref_dir = temp_root("legacy-ref");
+    let ref_server = bind(ref_dir.clone());
+    let reference = uninterrupted_run(ref_server.endpoint(), LEGACY_STREAM, &full_bytes);
+    drop(ref_server.shutdown());
+
+    // The parent commit's `serve_stream`, minus the socket: the server's
+    // host configuration with `durable` pointed at the stream's directory,
+    // one engine from its builder, one pipelined stream whose sinks are the
+    // client's view (commit-then-emit: every entry seen is journaled).
+    // Dropped without `finish` — the state a killed server leaves.
+    let root = temp_root("legacy");
+    let mut host = durable_host(stream_dir(&root, LEGACY_STREAM));
+    host.pipeline_depth = Some(2);
+    let backend = GdBackend::from_engine_config(&host.engine).expect("backend builds");
+    let engine = host
+        .engine_builder()
+        .backend(backend)
+        .build()
+        .expect("engine builds");
+    let seen = RefCell::new(Vec::new());
+    let mut stream = PipelinedStream::with_control_sink(
+        engine,
+        host.batch_chunks,
+        |pt, bytes: &[u8]| seen.borrow_mut().push(Entry::Payload(pt, bytes.to_vec())),
+        Some(|update: &DictionaryUpdate| seen.borrow_mut().push(Entry::Control(update.clone()))),
+    )
+    .expect("stream builds");
+    for chunk in workload.pre_crash().chunks() {
+        stream.push_record(&chunk).expect("push succeeds");
+    }
+    drop(stream);
+    let mut received = seen.into_inner();
+    assert!(
+        !received.is_empty(),
+        "the pre-crash phase committed batches"
+    );
+
+    let server = bind(root.clone());
+    let mut client = ClientSession::connect(server.endpoint()).expect("connects");
+    let hello = client
+        .hello(LEGACY_STREAM, received.len() as u64)
+        .expect("the old store opens as tenant 0's flow");
+    assert!(hello.warm, "the classic store is found where it always was");
+    assert_eq!(hello.reseed_entries, 0, "a live journal never reseeds");
+    let resume = hello.resume_bytes_in as usize;
+    assert!(resume > 0 && resume <= workload.crash_offset_bytes());
+    for chunk in full_bytes[resume..].chunks(CHUNK) {
+        client.send_data(chunk).expect("data sent");
+    }
+    client.end().expect("end sent");
+    client
+        .drain_to_done(|event| received.extend(entry_of(event)))
+        .expect("clean finish");
+    let report = server.shutdown();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+
+    assert_eq!(
+        received, reference,
+        "classic store + v4 resume must be bit-identical to the uninterrupted run"
+    );
+
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&root);
 }

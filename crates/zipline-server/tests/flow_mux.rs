@@ -4,8 +4,9 @@
 //! connection carrying the same data, so one tenant's dictionary churn
 //! never perturbs another tenant's decoder — and a **durable multiplexed
 //! server killed mid-run resumes every flow bit-identically** from its
-//! tenant-scoped journal. A v1 peer is rejected with a typed `ERROR`
-//! record before any stream state exists.
+//! tenant-scoped journal. A peer speaking any wire version but the current
+//! one is rejected with a typed `ERROR` record before any stream state
+//! exists.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -18,7 +19,7 @@ use zipline_gd::{CrcEngine, CrcSpec, GdConfig};
 use zipline_server::wire::REQUEST_MAGIC;
 use zipline_server::{
     ClientSession, Endpoint, FlowDecoderPool, FlowKey, Record, RecordReader, ServerConfigBuilder,
-    ServerEvent, ServerHandle,
+    ServerEvent, ServerHandle, WIRE_VERSION,
 };
 
 const CHUNK: usize = 32;
@@ -294,7 +295,7 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
         let held = received.get(key).map_or(0, |entries| entries.len() as u64);
         client2.open_flow(*key, held).expect("open sent");
     }
-    // The FLOW_OPENED answers arrive in order, strictly before each flow's
+    // The OPENED answers arrive in order, strictly before each flow's
     // replayed records; collect the resume offsets as they appear.
     let mut resume: BTreeMap<FlowKey, u64> = BTreeMap::new();
     while resume.len() < flows.len() {
@@ -312,7 +313,7 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
                 if let Some((key, entry)) = flow_entry(&event) {
                     assert!(
                         resume.contains_key(&key),
-                        "{key} replayed records before its FLOW_OPENED"
+                        "{key} replayed records before its OPENED"
                     );
                     received.entry(key).or_default().push(entry);
                 }
@@ -357,46 +358,60 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
     let _ = std::fs::remove_dir_all(&crash_root);
 }
 
+/// Wire v4 is the only version: a hello of version 1, 2, 3 or 5 — whatever
+/// body shape that version gave it — is answered with a typed `ERROR`
+/// record naming the version the server speaks, then the connection
+/// closes with no stream state created.
 #[test]
-fn version_one_peer_is_rejected_with_a_typed_error() {
+fn hellos_of_any_other_version_get_a_typed_error_naming_the_supported_one() {
     let server = bind(None);
     let addr = server
         .endpoint()
         .to_string()
         .trim_start_matches("tcp://")
         .to_string();
-    let mut socket = std::net::TcpStream::connect(&addr).expect("connects");
-
-    // Hand-craft a v1 CLIENT_HELLO frame: magic + version 1 + stream id +
-    // cursor, without the v2 multiplex byte.
-    let mut body = vec![0x41u8]; // KIND_CLIENT_HELLO
-    body.extend_from_slice(&REQUEST_MAGIC);
-    body.extend_from_slice(&1u16.to_le_bytes());
-    body.extend_from_slice(&0x77u64.to_le_bytes());
-    body.extend_from_slice(&0u64.to_le_bytes());
     let crc_engine = CrcEngine::new(CrcSpec::new(32, 0x04C1_1DB7).expect("valid CRC spec"));
-    let crc = crc_engine.compute_bytes(&body) as u32;
-    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    socket.write_all(&frame).expect("frame sent");
-    socket.flush().expect("flushed");
 
-    // The server answers with a typed ERROR record naming the version
-    // mismatch, then closes — no stream state was created.
-    let mut reader = RecordReader::new(socket);
-    let record = reader
-        .read_record()
-        .expect("the rejection is a well-formed record")
-        .expect("the server answers before closing");
-    match record {
-        Record::Error(message) => assert!(
-            message.contains("version"),
-            "the rejection must name the version mismatch, got: {message}"
-        ),
-        other => panic!("expected an ERROR record, got {}", other.kind_name()),
+    let stale_versions = [1u16, 2, 3, WIRE_VERSION + 1];
+    for version in stale_versions {
+        let mut socket = std::net::TcpStream::connect(&addr).expect("connects");
+        // Hand-craft the CLIENT_HELLO frame: magic + version, then the
+        // stream id + cursor (+ multiplex flag from v2 on) older versions
+        // carried — the refusal must not depend on what follows the version.
+        let mut body = vec![0x41u8]; // KIND_CLIENT_HELLO
+        body.extend_from_slice(&REQUEST_MAGIC);
+        body.extend_from_slice(&version.to_le_bytes());
+        body.extend_from_slice(&0x77u64.to_le_bytes());
+        body.extend_from_slice(&0u64.to_le_bytes());
+        if version >= 2 {
+            body.push(0);
+        }
+        let crc = crc_engine.compute_bytes(&body) as u32;
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        socket.write_all(&frame).expect("frame sent");
+        socket.flush().expect("flushed");
+
+        let mut reader = RecordReader::new(socket);
+        let record = reader
+            .read_record()
+            .expect("the rejection is a well-formed record")
+            .expect("the server answers before closing");
+        match record {
+            Record::Error(message) => assert!(
+                message.contains(&format!("unsupported wire version {version}"))
+                    && message.contains(&format!("only version {WIRE_VERSION}")),
+                "the rejection must name both versions, got: {message}"
+            ),
+            other => panic!("expected an ERROR record, got {}", other.kind_name()),
+        }
+        assert!(
+            matches!(reader.read_record(), Ok(None)),
+            "the connection closes after the refusal"
+        );
     }
     let report = server.shutdown();
     assert_eq!(report.stats.streams_completed, 0);
-    assert_eq!(report.stats.failed_streams, 1);
+    assert_eq!(report.stats.failed_streams, stale_versions.len() as u64);
 }

@@ -17,8 +17,8 @@ use zipline_engine::{codec_from_u8, CodecId, DictionaryUpdate, UpdateOp};
 use zipline_gd::packet::PacketType;
 use zipline_gd::BitVec;
 use zipline_server::{
-    ClientHello, DoneSummary, FlowKey, Record, RecordReader, ServerHello, WireCodec, WireError,
-    MIN_WIRE_VERSION, WIRE_VERSION,
+    ClientHello, DoneSummary, FlowKey, Record, RecordReader, ResumeSummary, ServerHello, WireCodec,
+    WireError,
 };
 
 /// Splits one random word into a tenant-scoped flow key.
@@ -26,29 +26,17 @@ fn key_from(seed: u64) -> FlowKey {
     FlowKey::new(seed & 0xFF, seed >> 8)
 }
 
-/// Splits one random word into a negotiable wire version (v2 or v3).
-fn version_from(seed: u64) -> u16 {
-    if seed & 4 == 4 {
-        WIRE_VERSION
-    } else {
-        MIN_WIRE_VERSION
-    }
-}
-
-/// A hello codec advertisement consistent with `version`: v2 hellos carry
-/// no codec set on the wire, so only v3 draws advertise ids. Advertised ids
-/// roundtrip verbatim (even unregistered ones — peers skip unknown ids).
-fn advertised_from(seed: u64, version: u16) -> Vec<CodecId> {
-    if version < WIRE_VERSION {
-        return Vec::new();
-    }
+/// A hello codec advertisement. Advertised ids roundtrip verbatim (even
+/// unregistered ones — peers skip unknown ids).
+fn advertised_from(seed: u64) -> Vec<CodecId> {
     (0..(seed >> 24) % 4)
         .map(|i| CodecId(1 + ((seed >> (8 + 3 * i)) as u8 % 9)))
         .collect()
 }
 
 /// An optional *payload* codec tag. Unlike hello advertisements, payload
-/// tags must decode through the registry, so only registered ids appear.
+/// tags must decode through the registry, so only registered ids appear
+/// (`None` is wire byte 0, the flow's fixed backend).
 fn payload_codec_from(seed: u64) -> Option<CodecId> {
     if seed & 8 == 8 {
         codec_from_u8(1 + (seed >> 13) as u8 % 4)
@@ -76,103 +64,83 @@ fn update_from(seed: u64) -> DictionaryUpdate {
     DictionaryUpdate { seq, at, op }
 }
 
+/// One random word out of a byte draw (FNV-1a), so byte-carrying records
+/// get varied keys and tags from a single strategy.
+fn seed_of(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn done_from(seed: u64) -> DoneSummary {
+    DoneSummary {
+        bytes_in: seed >> 2,
+        payloads_emitted: seed >> 5,
+        wire_bytes: seed >> 9,
+        compressed_payloads: seed % 11,
+        control_updates: seed % 3,
+        server_initiated: seed & 1 == 1,
+    }
+}
+
 fn record_strategy() -> BoxedStrategy<Record> {
     prop_oneof![
-        any::<u64>().prop_map(|seed| {
-            let version = version_from(seed);
-            Record::ClientHello(ClientHello {
-                version,
-                stream_id: seed,
-                entries_held: seed.rotate_left(17) & 0xFFFF,
-                multiplex: seed & 2 == 2,
-                codecs: advertised_from(seed, version),
-            })
+        any::<u64>().prop_map(|seed| Record::ClientHello(ClientHello {
+            codecs: advertised_from(seed),
+        })),
+        any::<u64>().prop_map(|seed| Record::Open {
+            key: key_from(seed),
+            entries_held: seed.rotate_left(29) & 0xFFFF,
         }),
-        proptest::collection::vec(any::<u8>(), 0..200).prop_map(Record::Data),
+        proptest::collection::vec(any::<u8>(), 0..200).prop_map(|bytes| Record::Data {
+            key: key_from(seed_of(&bytes)),
+            bytes,
+        }),
+        any::<u64>().prop_map(|seed| Record::EndFlow {
+            key: key_from(seed)
+        }),
         Just(Record::End),
-        any::<u64>().prop_map(|seed| {
-            let version = version_from(seed);
-            Record::ServerHello(ServerHello {
-                version,
+        any::<u64>().prop_map(|seed| Record::ServerHello(ServerHello {
+            codecs: advertised_from(seed.rotate_left(9)),
+        })),
+        any::<u64>().prop_map(|seed| Record::Opened {
+            key: key_from(seed),
+            resume: ResumeSummary {
                 resume_bytes_in: seed >> 8,
                 replay_entries: seed & 0x7F,
                 reseed_entries: (seed >> 32) & 0x7F,
                 warm: seed & 1 == 1,
-                codecs: advertised_from(seed.rotate_left(9), version),
-            })
+            },
         }),
-        proptest::collection::vec(any::<u8>(), 2..160).prop_map(|mut bytes| {
-            let codec = payload_codec_from(u64::from(bytes.pop().expect("non-empty draw")));
-            let packet_type = match bytes.pop().expect("non-empty draw") % 3 {
-                0 => PacketType::Raw,
-                1 => PacketType::Uncompressed,
-                _ => PacketType::Compressed,
-            };
-            Record::Payload {
-                codec,
-                packet_type,
-                bytes,
-            }
-        }),
-        any::<u64>().prop_map(|seed| Record::Control(update_from(seed))),
-        any::<u64>().prop_map(|seed| Record::Reseed(update_from(seed))),
-        any::<u64>().prop_map(|seed| Record::Done(DoneSummary {
-            bytes_in: seed,
-            payloads_emitted: seed >> 3,
-            wire_bytes: seed >> 7,
-            compressed_payloads: seed % 7,
-            control_updates: seed % 5,
-            server_initiated: seed & 1 == 0,
-        })),
-        proptest::collection::vec(0x20u8..0x7F, 0..60)
-            .prop_map(|bytes| Record::Error(String::from_utf8(bytes).expect("ascii"))),
-        any::<u64>().prop_map(|seed| Record::FlowOpen {
-            key: key_from(seed),
-            entries_held: seed.rotate_left(29) & 0xFFFF,
-        }),
-        any::<u64>().prop_map(|seed| {
-            let bytes: Vec<u8> = (0..seed % 120).map(|i| (seed >> (i % 57)) as u8).collect();
-            Record::FlowData {
-                key: key_from(seed),
-                bytes,
-            }
-        }),
-        any::<u64>().prop_map(|seed| Record::FlowEnd {
-            key: key_from(seed)
-        }),
-        any::<u64>().prop_map(|seed| {
-            let bytes: Vec<u8> = (0..seed % 120).map(|i| (seed >> (i % 61)) as u8).collect();
+        proptest::collection::vec(any::<u8>(), 0..160).prop_map(|bytes| {
+            let seed = seed_of(&bytes);
             let packet_type = match seed % 3 {
                 0 => PacketType::Raw,
                 1 => PacketType::Uncompressed,
                 _ => PacketType::Compressed,
             };
-            Record::FlowPayload {
+            Record::Payload {
                 key: key_from(seed),
                 codec: payload_codec_from(seed.rotate_right(7)),
                 packet_type,
                 bytes,
             }
         }),
-        any::<u64>().prop_map(|seed| Record::FlowControl {
+        any::<u64>().prop_map(|seed| Record::Control {
             key: key_from(seed),
             update: update_from(seed.rotate_right(11)),
         }),
-        any::<u64>().prop_map(|seed| Record::FlowReseed {
+        any::<u64>().prop_map(|seed| Record::Reseed {
             key: key_from(seed),
             update: update_from(seed.rotate_right(23)),
         }),
         any::<u64>().prop_map(|seed| Record::FlowDone {
             key: key_from(seed),
-            summary: DoneSummary {
-                bytes_in: seed >> 2,
-                payloads_emitted: seed >> 5,
-                wire_bytes: seed >> 9,
-                compressed_payloads: seed % 11,
-                control_updates: seed % 3,
-                server_initiated: seed & 1 == 1,
-            },
+            summary: done_from(seed),
         }),
+        any::<u64>().prop_map(|seed| Record::Done(done_from(seed.rotate_left(3)))),
+        proptest::collection::vec(0x20u8..0x7F, 0..60)
+            .prop_map(|bytes| Record::Error(String::from_utf8(bytes).expect("ascii"))),
     ]
     .boxed()
 }

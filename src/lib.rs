@@ -8,7 +8,6 @@
 pub use zipline;
 pub use zipline_deflate;
 pub use zipline_engine;
-pub use zipline_flow;
 pub use zipline_gd;
 pub use zipline_net;
 pub use zipline_server;

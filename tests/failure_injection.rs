@@ -355,9 +355,12 @@ mod recovery_injection {
         }
     }
 
-    /// The reference recovery of the untampered store.
+    /// The reference recovery of the untampered store. The scratch copy is
+    /// named after `dir`, so tests running in parallel never share one.
     fn reference_warm(dir: &Path) -> WarmStart {
-        let scratch = recovery_dir("reference");
+        let seed_name = dir.file_name().expect("seed directories are named");
+        let scratch = dir.with_file_name(format!("{}-reference", seed_name.to_string_lossy()));
+        let _ = std::fs::remove_dir_all(&scratch);
         clone_store(dir, &scratch);
         let (_, warm) = EngineStore::open(&scratch).unwrap();
         let warm = warm.expect("seed committed batches");
