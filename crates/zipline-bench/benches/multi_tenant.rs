@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use zipline_engine::tenant::{FlowEvent, FlowKey, FlowRouter, FlowRouterConfig};
+use zipline_engine::tenant::{FlowBatch, FlowKey, FlowRouter, FlowRouterConfig};
 use zipline_engine::{EngineBuilder, EngineConfig, PipelinedStream, SpawnPolicy};
 use zipline_gd::GdConfig;
 use zipline_traces::{FlowChunk, ManyFlowsConfig, ManyFlowsWorkload};
@@ -122,11 +122,8 @@ fn bench_multi_tenant(c: &mut Criterion) {
     group.finish();
 }
 
-fn event_bytes(event: &FlowEvent) -> u64 {
-    match event {
-        FlowEvent::Payload { bytes, .. } => bytes.len() as u64,
-        FlowEvent::Control { .. } => 1,
-    }
+fn event_bytes(flow: &FlowBatch) -> u64 {
+    (flow.batch.wire_bytes() + flow.batch.updates().len()) as u64
 }
 
 criterion_group!(benches, bench_multi_tenant);

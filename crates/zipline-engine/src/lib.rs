@@ -111,6 +111,7 @@ pub mod backend;
 pub mod builder;
 pub mod engine;
 pub mod error;
+pub mod frame;
 pub mod persist;
 pub mod pipelined;
 pub mod registry;
@@ -128,6 +129,7 @@ pub use engine::{
     SpawnPolicy,
 };
 pub use error::EngineError;
+pub use frame::{Batch, BatchEvent, FrameError};
 pub use persist::{CommittedEntry, EngineStore, PersistError, StoreOptions, SyncPolicy, WarmStart};
 pub use pipelined::{PipelineConfig, PipelinedStream};
 pub use registry::{
@@ -139,8 +141,8 @@ pub use shard::{
     DictionaryDelta, DictionarySnapshot, DictionaryState, DictionaryUpdate, ShardOutcome,
     ShardState, ShardStats, ShardedDictionary, UpdateOp,
 };
-pub use stream::{EngineStream, StreamSummary};
+pub use stream::{BatchSink, EngineStream, PayloadSinks, StreamSummary};
 pub use tenant::{
-    flow_dir, flow_placement, plan_resume, reseed_updates, tenant_dir, FlowDecoderPool, FlowError,
-    FlowEvent, FlowKey, FlowResume, FlowRouter, FlowRouterConfig, FlowSummary, TenantStats,
+    flow_dir, flow_placement, plan_resume, reseed_updates, tenant_dir, FlowBatch, FlowDecoderPool,
+    FlowError, FlowKey, FlowResume, FlowRouter, FlowRouterConfig, FlowSummary, TenantStats,
 };

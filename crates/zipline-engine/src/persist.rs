@@ -12,44 +12,46 @@
 //!   [`DictionaryUpdate`] events every batch produces (the same journal
 //!   live sync drains via `take_delta`), interleaved with periodic
 //!   compacted **checkpoints** carrying a full [`DictionaryState`];
-//! * **frame log** (`frames.zfl`) — every wire payload and interleaved
-//!   control update the stream emitted, delimited by batch-boundary
-//!   **commit markers**.
+//! * **frame log** (`frames.zfl`) — every compressed batch the stream
+//!   emitted (its payloads and the control updates interleaved with them,
+//!   one record per batch), each followed by a batch-boundary **commit
+//!   marker**.
 //!
 //! # On-disk format
 //!
-//! Both files are sequences of self-checking records:
-//!
-//! ```text
-//! record   := len:u32le  payload  crc:u32le
-//! payload  := kind:u8  body
-//! ```
-//!
-//! `len` counts the payload bytes and `crc` is CRC-32 (polynomial
-//! `0x04C11DB7`, the [`CrcEngine`] convention) over the payload, so a
-//! torn, truncated or bit-flipped tail never parses as a valid record.
-//! All integers are little-endian; bit vectors serialize as
-//! `bit_len:u32le` plus their byte-padded words.
+//! Both files are sequences of the self-checking `len · kind · body · crc`
+//! records of [`crate::frame`] (CRC-32 over kind + body, so a torn,
+//! truncated or bit-flipped tail never parses as a valid record); the body
+//! encodings — integers, bit vectors, updates, the batch body — are that
+//! module's too.
 //!
 //! | file         | kinds                                                   |
 //! |--------------|---------------------------------------------------------|
 //! | `shards.zsl` | `0x01` header (`"ZLSS"`, version, shard shape) · `0x02` delta (batch, updates) · `0x03` checkpoint (batch, full state) |
-//! | `frames.zfl` | `0x11` header (`"ZLFL"`, version) · `0x12` frame (packet type, bytes) · `0x13` control (update) · `0x14` commit (batch, cumulative bytes in / frames) · `0x15` tagged frame (codec id, packet type, bytes) |
+//! | `frames.zfl` | `0x11` header (`"ZLFL"`, version) · `0x16` batch (one [`Batch`] body) · `0x14` commit (batch, cumulative bytes in / frames) |
 //!
-//! A `0x12` frame belongs to the stream's fixed backend; a `0x15` frame
-//! carries an explicit per-batch [`CodecId`] tag so a self-describing
-//! (multi-codec) stream replays through the right decoder after restart.
-//! An unknown codec id fails loudly as [`PersistError::Corrupt`].
+//! A batch record carries its codec byte (`0` = the stream's fixed backend,
+//! otherwise the per-batch [`CodecId`] of a self-describing multi-codec
+//! stream), so a replay goes through the right decoder after restart. An
+//! unknown codec id fails loudly as [`PersistError::Corrupt`].
+//!
+//! Three more frame-log kinds are **read, never written**: stores written
+//! before the batch record framed every payload on its own — `0x12` frame
+//! (packet type, bytes), `0x15` tagged frame (codec id, packet type, bytes)
+//! and `0x13` control (one update). A crashed stream's journal from that
+//! era opens and replays unchanged; new commits append batch records after
+//! it.
 //!
 //! # Commit protocol
 //!
 //! [`EngineStore::commit_batch`] makes one batch durable in write order:
-//! frame + control records → shard delta (and checkpoint when the cadence
-//! is due) → shard flush → commit marker → frame flush. The commit marker
-//! is the *only* thing that makes a batch count: everything after the last
-//! valid commit is, by definition, an interrupted batch and is truncated
-//! away on open. A delta record is written for **every** batch (even an
-//! empty one), so recovery can prove coverage of each committed batch.
+//! batch record → shard delta (and checkpoint when the cadence is due) →
+//! shard flush → commit marker → frame flush; three `write`s in all. The
+//! commit marker is the *only* thing that makes a batch count: everything
+//! after the last valid commit is, by definition, an interrupted batch and
+//! is truncated away on open. A delta record is written for **every** batch
+//! (even an empty one), so recovery can prove coverage of each committed
+//! batch.
 //!
 //! # Recovery invariants
 //!
@@ -57,8 +59,8 @@
 //! record that fails its length or CRC check (the torn tail), and then:
 //!
 //! 1. the last valid commit marker defines the durable boundary `C`;
-//!    frame/control records after it are truncated (the interrupted
-//!    batch re-runs on resume);
+//!    journal records after it are truncated (the interrupted batch
+//!    re-runs on resume);
 //! 2. the dictionary is rebuilt from the newest checkpoint with
 //!    `batch <= C`, then the deltas for `checkpoint+1 ..= C` are folded in
 //!    via [`ShardedDictionary::apply_update`]; with the default
@@ -99,13 +101,15 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::registry::{codec_from_u8, CodecId};
-use crate::shard::{
-    DictionaryState, DictionaryUpdate, ShardState, ShardStats, ShardedDictionary, UpdateOp,
+use crate::frame::{
+    put_bitvec, put_u16, put_u32, put_u64, put_update, record_crc, scan_record, write_record,
+    Batch, BatchEvent, BodyReader, FrameError, Scanned,
 };
+use crate::registry::CodecId;
+use crate::shard::{DictionaryState, DictionaryUpdate, ShardState, ShardStats, ShardedDictionary};
 use zipline_gd::dictionary::{BasisDictionaryState, DictionaryEntryState};
 use zipline_gd::packet::PacketType;
-use zipline_gd::{BitVec, CrcEngine, CrcSpec};
+use zipline_gd::CrcEngine;
 
 /// File name of the dictionary event log + checkpoints.
 const SHARD_LOG: &str = "shards.zsl";
@@ -122,16 +126,14 @@ const KIND_SHARD_HEADER: u8 = 0x01;
 const KIND_DELTA: u8 = 0x02;
 const KIND_CHECKPOINT: u8 = 0x03;
 const KIND_FRAME_HEADER: u8 = 0x11;
+// zipline-lint: allow(L002): read-only since the batch record replaced it; a journal written before that still carries it
 const KIND_FRAME: u8 = 0x12;
+// zipline-lint: allow(L002): read-only since the batch record replaced it; a journal written before that still carries it
 const KIND_CONTROL: u8 = 0x13;
 const KIND_COMMIT: u8 = 0x14;
+// zipline-lint: allow(L002): read-only since the batch record replaced it; a journal written before that still carries it
 const KIND_FRAME_TAGGED: u8 = 0x15;
-
-/// The record CRC: CRC-32 in the crate's `B(x) mod g(x)` convention.
-fn record_crc() -> CrcEngine {
-    // zipline-lint: allow(L001): CRC-32 spec parameters are compile-time constants; construction cannot fail
-    CrcEngine::new(CrcSpec::new(32, 0x04C1_1DB7).expect("CRC-32 spec is valid"))
-}
+const KIND_BATCH: u8 = 0x16;
 
 /// A durability-layer failure.
 #[derive(Debug)]
@@ -167,6 +169,13 @@ impl std::error::Error for PersistError {
     }
 }
 
+impl From<FrameError> for PersistError {
+    /// A CRC-valid record whose body does not parse is corruption.
+    fn from(e: FrameError) -> Self {
+        PersistError::Corrupt(e.to_string())
+    }
+}
+
 /// Persistence result alias.
 pub type PersistResult<T> = std::result::Result<T, PersistError>;
 
@@ -182,135 +191,6 @@ fn corrupt(msg: impl Into<String>) -> PersistError {
 // ---------------------------------------------------------------------------
 // Body serialization
 // ---------------------------------------------------------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bitvec(buf: &mut Vec<u8>, bits: &BitVec) {
-    put_u32(buf, bits.len() as u32);
-    buf.extend_from_slice(&bits.to_bytes());
-}
-
-/// Bounded reader over one record body; every shortfall is a loud
-/// [`PersistError::Corrupt`] naming the record being parsed.
-struct BodyReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    what: &'static str,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(data: &'a [u8], what: &'static str) -> Self {
-        Self { data, pos: 0, what }
-    }
-
-    fn take(&mut self, n: usize) -> PersistResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let Some(end) = end else {
-            return Err(corrupt(format!(
-                "{}: body shorter than declared",
-                self.what
-            )));
-        };
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Takes exactly `N` bytes as a fixed-size array. The length always
-    /// matches because `take` returned exactly `N` bytes, so the slice
-    /// pattern is irrefutable — no fallible conversion anywhere.
-    fn array<const N: usize>(&mut self) -> PersistResult<[u8; N]> {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.take(N)?);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> PersistResult<u8> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> PersistResult<u16> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> PersistResult<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> PersistResult<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn bitvec(&mut self) -> PersistResult<BitVec> {
-        let bit_len = self.u32()? as usize;
-        let bytes = self.take(bit_len.div_ceil(8))?;
-        let mut bits = BitVec::from_bytes(bytes);
-        bits.truncate(bit_len);
-        Ok(bits)
-    }
-
-    fn finish(self) -> PersistResult<()> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(corrupt(format!("{}: trailing bytes in body", self.what)))
-        }
-    }
-}
-
-fn packet_type_code(pt: PacketType) -> u8 {
-    pt.number()
-}
-
-fn packet_type_from(code: u8, what: &'static str) -> PersistResult<PacketType> {
-    match code {
-        1 => Ok(PacketType::Raw),
-        2 => Ok(PacketType::Uncompressed),
-        3 => Ok(PacketType::Compressed),
-        other => Err(corrupt(format!("{what}: unknown packet type {other}"))),
-    }
-}
-
-fn put_update(buf: &mut Vec<u8>, update: &DictionaryUpdate) {
-    put_u64(buf, update.seq);
-    put_u64(buf, update.at);
-    match &update.op {
-        UpdateOp::Install { id, basis } => {
-            buf.push(0);
-            put_u64(buf, *id);
-            put_bitvec(buf, basis);
-        }
-        UpdateOp::Remove { id } => {
-            buf.push(1);
-            put_u64(buf, *id);
-        }
-    }
-}
-
-fn read_update(r: &mut BodyReader<'_>) -> PersistResult<DictionaryUpdate> {
-    let seq = r.u64()?;
-    let at = r.u64()?;
-    let op = match r.u8()? {
-        0 => UpdateOp::Install {
-            id: r.u64()?,
-            basis: r.bitvec()?,
-        },
-        1 => UpdateOp::Remove { id: r.u64()? },
-        other => return Err(corrupt(format!("{}: unknown update op {other}", r.what))),
-    };
-    Ok(DictionaryUpdate { seq, at, op })
-}
 
 fn put_state(buf: &mut Vec<u8>, state: &DictionaryState) {
     put_u32(buf, state.shard_count as u32);
@@ -343,7 +223,7 @@ fn read_state(r: &mut BodyReader<'_>) -> PersistResult<DictionaryState> {
     let shard_count = r.u32()? as usize;
     let shard_capacity = r.u32()? as usize;
     let delta_seq = r.u64()?;
-    let mut shards = Vec::with_capacity(shard_count);
+    let mut shards = Vec::with_capacity(shard_count.min(1 << 16));
     for _ in 0..shard_count {
         let clock = r.u64()?;
         let stats = ShardStats {
@@ -390,79 +270,86 @@ fn read_state(r: &mut BodyReader<'_>) -> PersistResult<DictionaryState> {
     })
 }
 
+/// The body both log headers start with: magic, then the format version.
+fn read_log_header(r: &mut BodyReader<'_>, magic: &[u8; 4], log: &str) -> PersistResult<()> {
+    if r.take(4)? != magic {
+        return Err(corrupt(format!("{log} log magic mismatch")));
+    }
+    let version = r.u16()?;
+    if version != FORMAT_VERSION {
+        return Err(corrupt(format!(
+            "{log} log format version {version} unsupported"
+        )));
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Record framing
 // ---------------------------------------------------------------------------
 
 /// One CRC-validated record located in a scanned log.
-struct RawRecord {
+struct RawRecord<'a> {
     kind: u8,
-    body_start: usize,
-    body_end: usize,
+    body: &'a [u8],
     /// Byte offset one past the record's trailing CRC.
     end: usize,
 }
 
-/// Little-endian `u32` starting at byte `at`; `None` when `data` is too
-/// short — length checks and extraction in one step, no indexing.
-fn read_le_u32(data: &[u8], at: usize) -> Option<u32> {
-    let end = at.checked_add(4)?;
-    let bytes: [u8; 4] = data.get(at..end)?.try_into().ok()?;
-    Some(u32::from_le_bytes(bytes))
-}
-
-/// Scans a log, returning every CRC-valid record and the byte offset of
-/// the first invalid one (the torn-tail truncation point).
-fn scan_log(data: &[u8], crc: &CrcEngine) -> (Vec<RawRecord>, usize) {
+/// Scans a log, returning every CRC-valid record up to the first invalid
+/// one (the torn-tail truncation point).
+fn scan_log<'a>(data: &'a [u8], crc: &CrcEngine) -> Vec<RawRecord<'a>> {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    while let Some(len) = read_le_u32(data, offset) {
-        let len = len as usize;
-        if len == 0 || len > MAX_RECORD_BYTES {
-            break;
-        }
-        let payload_start = offset + 4;
-        let Some(payload) = data.get(payload_start..payload_start + len) else {
-            break;
-        };
-        let Some(stored) = read_le_u32(data, payload_start + len) else {
-            break;
-        };
-        if crc.compute_bytes(payload) as u32 != stored {
-            break;
-        }
-        let Some((&kind, _)) = payload.split_first() else {
-            break;
-        };
-        let end = payload_start + len + 4;
+    while let Some(Scanned::Record { kind, body, len }) = data
+        .get(offset..)
+        .map(|rest| scan_record(crc, rest, MAX_RECORD_BYTES))
+    {
+        offset += len;
         records.push(RawRecord {
             kind,
-            body_start: payload_start + 1,
-            body_end: payload_start + len,
-            end,
+            body,
+            end: offset,
         });
-        offset = end;
     }
-    (records, offset)
+    records
 }
 
-/// Frames `kind + body` with its length prefix and CRC and appends it.
+/// Seals one record into `buf` (recycled) and appends it to `file`.
 fn append_record(
     file: &mut File,
     crc: &CrcEngine,
-    payload: &mut Vec<u8>,
+    buf: &mut Vec<u8>,
     kind: u8,
-    body: &[u8],
     context: &str,
+    body: impl FnOnce(&mut Vec<u8>),
 ) -> PersistResult<()> {
-    payload.clear();
-    payload.reserve(body.len() + 9);
-    put_u32(payload, (body.len() + 1) as u32);
-    payload.push(kind);
-    payload.extend_from_slice(body);
-    let sum = crc.compute_bytes(&payload[4..]) as u32;
-    put_u32(payload, sum);
-    file.write_all(payload).map_err(io_err(context.to_string()))
+    buf.clear();
+    write_record(crc, buf, kind, body);
+    file.write_all(buf).map_err(io_err(context))
+}
+
+fn put_shard_header(body: &mut Vec<u8>, shard_count: usize, shard_capacity: usize) {
+    body.extend_from_slice(SHARD_MAGIC);
+    put_u16(body, FORMAT_VERSION);
+    put_u32(body, shard_count as u32);
+    put_u32(body, shard_capacity as u32);
+}
+
+fn put_frame_header(body: &mut Vec<u8>) {
+    body.extend_from_slice(FRAME_MAGIC);
+    put_u16(body, FORMAT_VERSION);
+}
+
+fn put_checkpoint(body: &mut Vec<u8>, batch: u64, state: &DictionaryState) {
+    put_u64(body, batch);
+    put_state(body, state);
+}
+
+fn put_commit(body: &mut Vec<u8>, batch: u64, bytes_in: u64, frames: u64) {
+    put_u64(body, batch);
+    put_u64(body, bytes_in);
+    put_u64(body, frames);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,9 +424,9 @@ pub struct WarmStart {
     pub bytes_in: u64,
     /// Cumulative wire frames committed.
     pub frames: u64,
-    /// Every committed frame and control update, in emission order. A
-    /// resumed run's output appended to this list is the uninterrupted
-    /// stream.
+    /// Every committed frame and control update, in emission order (batch
+    /// records expanded). A resumed run's output appended to this list is
+    /// the uninterrupted stream.
     pub committed: Vec<CommittedEntry>,
     /// True when the dictionary was restored from a checkpoint taken at
     /// exactly the commit boundary (bit-identical future behaviour);
@@ -563,10 +450,8 @@ pub struct EngineStore {
     batches: u64,
     bytes_in: u64,
     frames: u64,
-    /// Recycled body assembly buffer.
-    body: Vec<u8>,
     /// Recycled framed-record buffer.
-    payload: Vec<u8>,
+    record: Vec<u8>,
     crc: CrcEngine,
 }
 
@@ -584,34 +469,25 @@ impl EngineStore {
             dir.display()
         )))?;
         let crc = record_crc();
-        let mut body = Vec::new();
-        let mut payload = Vec::new();
+        let mut record = Vec::new();
 
         let mut shard_log = open_log(&dir.join(SHARD_LOG), true)?;
-        body.extend_from_slice(SHARD_MAGIC);
-        put_u16(&mut body, FORMAT_VERSION);
-        put_u32(&mut body, shard_count as u32);
-        put_u32(&mut body, shard_capacity as u32);
         append_record(
             &mut shard_log,
             &crc,
-            &mut payload,
+            &mut record,
             KIND_SHARD_HEADER,
-            &body,
             "writing shard log header",
+            |body| put_shard_header(body, shard_count, shard_capacity),
         )?;
-
         let mut frame_log = open_log(&dir.join(FRAME_LOG), true)?;
-        body.clear();
-        body.extend_from_slice(FRAME_MAGIC);
-        put_u16(&mut body, FORMAT_VERSION);
         append_record(
             &mut frame_log,
             &crc,
-            &mut payload,
+            &mut record,
             KIND_FRAME_HEADER,
-            &body,
             "writing frame log header",
+            put_frame_header,
         )?;
 
         Ok(Self {
@@ -624,8 +500,7 @@ impl EngineStore {
             batches: 0,
             bytes_in: 0,
             frames: 0,
-            body,
-            payload,
+            record,
             crc,
         })
     }
@@ -654,27 +529,16 @@ impl EngineStore {
             .map_err(io_err(format!("reading {}", shard_path.display())))?;
 
         // ---- frame log: find the durable boundary C ----
-        let (frame_records, _) = scan_log(&frame_bytes, &crc);
-        let Some(header) = frame_records
-            .first()
-            .filter(|r| r.kind == KIND_FRAME_HEADER)
+        let frame_records = scan_log(&frame_bytes, &crc);
+        let Some((header, journal)) = frame_records
+            .split_first()
+            .filter(|(first, _)| first.kind == KIND_FRAME_HEADER)
         else {
             return Err(corrupt("frame log header missing or torn"));
         };
         {
-            let mut r = BodyReader::new(
-                &frame_bytes[header.body_start..header.body_end],
-                "frame log header",
-            );
-            if r.take(4)? != FRAME_MAGIC {
-                return Err(corrupt("frame log magic mismatch"));
-            }
-            let version = r.u16()?;
-            if version != FORMAT_VERSION {
-                return Err(corrupt(format!(
-                    "frame log format version {version} unsupported"
-                )));
-            }
+            let mut r = BodyReader::new(header.body, "frame log header");
+            read_log_header(&mut r, FRAME_MAGIC, "frame")?;
             r.finish()?;
         }
         let mut committed: Vec<CommittedEntry> = Vec::new();
@@ -685,49 +549,47 @@ impl EngineStore {
         let mut frames = 0u64;
         let mut have_commit = false;
         let mut frame_keep_end = header.end;
-        for rec in &frame_records[1..] {
-            let body = &frame_bytes[rec.body_start..rec.body_end];
+        for rec in journal {
             match rec.kind {
-                KIND_FRAME => {
-                    let mut r = BodyReader::new(body, "frame record");
-                    let packet_type = packet_type_from(r.u8()?, "frame record")?;
-                    let len = r.u32()? as usize;
-                    let bytes = r.take(len)?.to_vec();
-                    r.finish()?;
-                    pending.push(CommittedEntry::Frame {
-                        packet_type,
-                        codec: None,
-                        bytes,
-                    });
-                    pending_frames += 1;
+                KIND_BATCH => {
+                    let batch = Batch::decode(BodyReader::new(rec.body, "batch record"))?;
+                    let codec = batch.codec();
+                    pending.extend(batch.events().map(|event| match event {
+                        BatchEvent::Update(update) => CommittedEntry::Control(update.clone()),
+                        BatchEvent::Payload(packet_type, bytes) => CommittedEntry::Frame {
+                            packet_type,
+                            codec,
+                            bytes: bytes.to_vec(),
+                        },
+                    }));
+                    pending_frames += batch.payload_count();
                 }
-                KIND_FRAME_TAGGED => {
-                    let mut r = BodyReader::new(body, "tagged frame record");
-                    let raw = r.u8()?;
-                    let Some(codec) = codec_from_u8(raw) else {
-                        return Err(corrupt(format!(
-                            "tagged frame record names unknown codec id {raw}"
-                        )));
+                KIND_FRAME | KIND_FRAME_TAGGED => {
+                    let mut r = BodyReader::new(rec.body, "frame record");
+                    let codec = if rec.kind == KIND_FRAME_TAGGED {
+                        r.codec()?
+                    } else {
+                        None
                     };
-                    let packet_type = packet_type_from(r.u8()?, "tagged frame record")?;
+                    let packet_type = r.packet_type()?;
                     let len = r.u32()? as usize;
                     let bytes = r.take(len)?.to_vec();
                     r.finish()?;
                     pending.push(CommittedEntry::Frame {
                         packet_type,
-                        codec: Some(codec),
+                        codec,
                         bytes,
                     });
                     pending_frames += 1;
                 }
                 KIND_CONTROL => {
-                    let mut r = BodyReader::new(body, "control record");
-                    let update = read_update(&mut r)?;
+                    let mut r = BodyReader::new(rec.body, "control record");
+                    let update = r.update()?;
                     r.finish()?;
                     pending.push(CommittedEntry::Control(update));
                 }
                 KIND_COMMIT => {
-                    let mut r = BodyReader::new(body, "commit record");
+                    let mut r = BodyReader::new(rec.body, "commit record");
                     let batch = r.u64()?;
                     let cum_bytes = r.u64()?;
                     let cum_frames = r.u64()?;
@@ -778,27 +640,16 @@ impl EngineStore {
         // dropped with the truncation below.
 
         // ---- shard log: rebuild the dictionary up to C ----
-        let (shard_records, _) = scan_log(&shard_bytes, &crc);
-        let Some(header) = shard_records
-            .first()
-            .filter(|r| r.kind == KIND_SHARD_HEADER)
+        let shard_records = scan_log(&shard_bytes, &crc);
+        let Some((header, journal)) = shard_records
+            .split_first()
+            .filter(|(first, _)| first.kind == KIND_SHARD_HEADER)
         else {
             return Err(corrupt("shard log header missing or torn"));
         };
         let (shard_count, shard_capacity) = {
-            let mut r = BodyReader::new(
-                &shard_bytes[header.body_start..header.body_end],
-                "shard log header",
-            );
-            if r.take(4)? != SHARD_MAGIC {
-                return Err(corrupt("shard log magic mismatch"));
-            }
-            let version = r.u16()?;
-            if version != FORMAT_VERSION {
-                return Err(corrupt(format!(
-                    "shard log format version {version} unsupported"
-                )));
-            }
+            let mut r = BodyReader::new(header.body, "shard log header");
+            read_log_header(&mut r, SHARD_MAGIC, "shard")?;
             let counts = (r.u32()? as usize, r.u32()? as usize);
             r.finish()?;
             counts
@@ -807,16 +658,15 @@ impl EngineStore {
         let mut checkpoint: Option<(u64, DictionaryState)> = None;
         let mut deltas: Vec<(u64, Vec<DictionaryUpdate>)> = Vec::new();
         let mut shard_keep_end = header.end;
-        for rec in &shard_records[1..] {
-            let body = &shard_bytes[rec.body_start..rec.body_end];
+        for rec in journal {
             match rec.kind {
                 KIND_DELTA => {
-                    let mut r = BodyReader::new(body, "delta record");
+                    let mut r = BodyReader::new(rec.body, "delta record");
                     let batch = r.u64()?;
                     let count = r.u32()? as usize;
                     let mut updates = Vec::with_capacity(count.min(1 << 20));
                     for _ in 0..count {
-                        updates.push(read_update(&mut r)?);
+                        updates.push(r.update()?);
                     }
                     r.finish()?;
                     let expected = last_batch.map_or(1, |b| b + 1);
@@ -833,7 +683,7 @@ impl EngineStore {
                     }
                 }
                 KIND_CHECKPOINT => {
-                    let mut r = BodyReader::new(body, "checkpoint record");
+                    let mut r = BodyReader::new(rec.body, "checkpoint record");
                     let batch = r.u64()?;
                     let state = read_state(&mut r)?;
                     r.finish()?;
@@ -943,8 +793,7 @@ impl EngineStore {
                 batches: commit_batch,
                 bytes_in,
                 frames,
-                body: Vec::new(),
-                payload: Vec::new(),
+                record: Vec::new(),
                 crc,
             },
             warm,
@@ -1011,166 +860,88 @@ impl EngineStore {
         (self.batches + 1).is_multiple_of(cadence)
     }
 
-    /// Makes one batch durable. `records` are the batch's wire payloads
-    /// in emission order (type + length into `wire`, the concatenated
-    /// payload bytes), `codec` the batch's codec tag (`Some` only for
-    /// self-describing multi-codec streams — the frames journal as
-    /// `0x15` tagged records and replay with the tag attached),
-    /// `updates` its dictionary delta, `state` the full
-    /// dictionary state *after* the batch when a checkpoint is due (see
-    /// [`Self::checkpoint_due`]), and `input_len` the input bytes the
-    /// batch consumed. Write order — frames, shard delta (+ checkpoint),
-    /// shard flush, commit marker, frame flush — guarantees a crash at
-    /// any point leaves a recoverable prefix ending at a batch boundary.
+    /// Makes one batch durable: `batch` is its wire form (payloads in
+    /// emission order, the interleaved dictionary updates, the codec tag of
+    /// a self-describing multi-codec stream), `state` the full dictionary
+    /// state *after* the batch when a checkpoint is due (see
+    /// [`Self::checkpoint_due`]), and `input_len` the input bytes the batch
+    /// consumed. Write order — batch record, shard delta (+ checkpoint),
+    /// shard flush, commit marker, frame flush — guarantees a crash at any
+    /// point leaves a recoverable prefix ending at a batch boundary.
     pub fn commit_batch(
         &mut self,
-        records: &[(PacketType, u32)],
-        wire: &[u8],
-        codec: Option<CodecId>,
-        updates: &[DictionaryUpdate],
+        batch: &Batch,
         state: Option<&DictionaryState>,
         input_len: u64,
     ) -> PersistResult<()> {
-        let batch = self.batches + 1;
+        let number = self.batches + 1;
+        let bytes_in = self.bytes_in + input_len;
+        let frames = self.frames + batch.payload_count();
 
-        // Frame + control records, in exactly the interleaved emission
-        // order: every update with `at <= i` precedes payload `i`.
-        let mut next_update = updates.iter().peekable();
-        let mut offset = 0usize;
-        for (i, (packet_type, len)) in records.iter().enumerate() {
-            while let Some(u) = next_update.peek() {
-                if u.at > i as u64 {
-                    break;
-                }
-                self.body.clear();
-                put_update(&mut self.body, u);
-                append_record(
-                    &mut self.frame_log,
-                    &self.crc,
-                    &mut self.payload,
-                    KIND_CONTROL,
-                    &self.body,
-                    "writing control record",
-                )?;
-                next_update.next();
-            }
-            let end = offset + *len as usize;
-            let Some(bytes) = wire.get(offset..end) else {
-                return Err(corrupt(format!(
-                    "batch {batch}: record lengths overrun the wire buffer"
-                )));
-            };
-            self.body.clear();
-            if let Some(codec) = codec {
-                self.body.push(codec.as_u8());
-            }
-            self.body.push(packet_type_code(*packet_type));
-            put_u32(&mut self.body, *len);
-            self.body.extend_from_slice(bytes);
-            append_record(
-                &mut self.frame_log,
-                &self.crc,
-                &mut self.payload,
-                if codec.is_some() {
-                    KIND_FRAME_TAGGED
-                } else {
-                    KIND_FRAME
-                },
-                &self.body,
-                "writing frame record",
-            )?;
-            offset = end;
-        }
-        for u in next_update {
-            self.body.clear();
-            put_update(&mut self.body, u);
-            append_record(
-                &mut self.frame_log,
-                &self.crc,
-                &mut self.payload,
-                KIND_CONTROL,
-                &self.body,
-                "writing control record",
-            )?;
-        }
-        if offset != wire.len() {
-            return Err(corrupt(format!(
-                "batch {batch}: {} wire bytes left unaccounted for",
-                wire.len() - offset
-            )));
-        }
+        append_record(
+            &mut self.frame_log,
+            &self.crc,
+            &mut self.record,
+            KIND_BATCH,
+            "writing batch record",
+            |body| batch.encode_into(body),
+        )?;
 
         // Shard store: the batch's delta (always, even when empty, so
-        // recovery can prove coverage), then the checkpoint when due.
-        self.body.clear();
-        put_u64(&mut self.body, batch);
-        put_u32(&mut self.body, updates.len() as u32);
-        for u in updates {
-            put_update(&mut self.body, u);
-        }
-        append_record(
-            &mut self.shard_log,
-            &self.crc,
-            &mut self.payload,
-            KIND_DELTA,
-            &self.body,
-            "writing delta record",
-        )?;
+        // recovery can prove coverage), then the checkpoint when due — one
+        // write for both.
+        self.record.clear();
+        write_record(&self.crc, &mut self.record, KIND_DELTA, |body| {
+            put_u64(body, number);
+            put_u32(body, batch.updates().len() as u32);
+            for update in batch.updates() {
+                put_update(body, update);
+            }
+        });
         if let Some(state) = state {
-            self.body.clear();
-            put_u64(&mut self.body, batch);
-            put_state(&mut self.body, state);
-            append_record(
-                &mut self.shard_log,
-                &self.crc,
-                &mut self.payload,
-                KIND_CHECKPOINT,
-                &self.body,
-                "writing checkpoint record",
-            )?;
+            write_record(&self.crc, &mut self.record, KIND_CHECKPOINT, |body| {
+                put_checkpoint(body, number, state)
+            });
         }
+        self.shard_log
+            .write_all(&self.record)
+            .map_err(io_err("writing delta record"))?;
         self.shard_log
             .flush()
             .map_err(io_err("flushing shard log"))?;
         sync_file(self.options.sync, &self.shard_log, "syncing shard log")?;
 
         // The commit marker makes the batch count.
-        self.body.clear();
-        put_u64(&mut self.body, batch);
-        put_u64(&mut self.body, self.bytes_in + input_len);
-        put_u64(&mut self.body, self.frames + records.len() as u64);
         append_record(
             &mut self.frame_log,
             &self.crc,
-            &mut self.payload,
+            &mut self.record,
             KIND_COMMIT,
-            &self.body,
             "writing commit record",
+            |body| put_commit(body, number, bytes_in, frames),
         )?;
         self.frame_log
             .flush()
             .map_err(io_err("flushing frame log"))?;
         sync_file(self.options.sync, &self.frame_log, "syncing frame log")?;
 
-        self.batches = batch;
-        self.bytes_in += input_len;
-        self.frames += records.len() as u64;
+        self.batches = number;
+        self.bytes_in = bytes_in;
+        self.frames = frames;
         Ok(())
     }
 
     /// Appends a full-state checkpoint at the current batch boundary
     /// (outside the commit path — e.g. at stream finish).
     pub fn checkpoint(&mut self, state: &DictionaryState) -> PersistResult<()> {
-        self.body.clear();
-        put_u64(&mut self.body, self.batches);
-        put_state(&mut self.body, state);
+        let batches = self.batches;
         append_record(
             &mut self.shard_log,
             &self.crc,
-            &mut self.payload,
+            &mut self.record,
             KIND_CHECKPOINT,
-            &self.body,
             "writing checkpoint record",
+            |body| put_checkpoint(body, batches, state),
         )?;
         self.shard_log
             .flush()
@@ -1190,83 +961,51 @@ impl EngineStore {
     /// it). Call after a checkpoint-worthy quiescent point (e.g. stream
     /// finish) to bound log growth.
     pub fn compact(&mut self, state: &DictionaryState) -> PersistResult<()> {
-        let tmp_path = self.dir.join("frames.zfl.tmp");
-        let mut tmp = open_log(&tmp_path, true)?;
-        self.body.clear();
-        self.body.extend_from_slice(FRAME_MAGIC);
-        put_u16(&mut self.body, FORMAT_VERSION);
-        append_record(
-            &mut tmp,
+        let (batches, bytes_in, frames) = (self.batches, self.bytes_in, self.frames);
+        self.record.clear();
+        write_record(
             &self.crc,
-            &mut self.payload,
+            &mut self.record,
             KIND_FRAME_HEADER,
-            &self.body,
-            "writing compacted frame log header",
-        )?;
-        self.body.clear();
-        put_u64(&mut self.body, self.batches);
-        put_u64(&mut self.body, self.bytes_in);
-        put_u64(&mut self.body, self.frames);
-        append_record(
-            &mut tmp,
-            &self.crc,
-            &mut self.payload,
-            KIND_COMMIT,
-            &self.body,
-            "writing baseline commit",
-        )?;
-        tmp.flush()
-            .map_err(io_err("flushing compacted frame log"))?;
-        sync_file(self.options.sync, &tmp, "syncing compacted frame log")?;
-        drop(tmp);
-        let frame_path = self.dir.join(FRAME_LOG);
-        std::fs::rename(&tmp_path, &frame_path)
-            .map_err(io_err("renaming compacted frame log into place"))?;
-        sync_dir(self.options.sync, &self.dir)?;
-        self.frame_log = open_log(&frame_path, false)?;
-        self.frame_log
-            .seek(SeekFrom::End(0))
-            .map_err(io_err("seeking compacted frame log end"))?;
+            put_frame_header,
+        );
+        write_record(&self.crc, &mut self.record, KIND_COMMIT, |body| {
+            put_commit(body, batches, bytes_in, frames)
+        });
+        self.frame_log = self.replace_log(FRAME_LOG, "frame")?;
 
-        let tmp_path = self.dir.join("shards.zsl.tmp");
-        let mut tmp = open_log(&tmp_path, true)?;
-        self.body.clear();
-        self.body.extend_from_slice(SHARD_MAGIC);
-        put_u16(&mut self.body, FORMAT_VERSION);
-        put_u32(&mut self.body, self.shard_count as u32);
-        put_u32(&mut self.body, self.shard_capacity as u32);
-        append_record(
-            &mut tmp,
-            &self.crc,
-            &mut self.payload,
-            KIND_SHARD_HEADER,
-            &self.body,
-            "writing compacted shard log header",
-        )?;
-        self.body.clear();
-        put_u64(&mut self.body, self.batches);
-        put_state(&mut self.body, state);
-        append_record(
-            &mut tmp,
-            &self.crc,
-            &mut self.payload,
-            KIND_CHECKPOINT,
-            &self.body,
-            "writing compacted checkpoint",
-        )?;
-        tmp.flush()
-            .map_err(io_err("flushing compacted shard log"))?;
-        sync_file(self.options.sync, &tmp, "syncing compacted shard log")?;
-        drop(tmp);
-        let shard_path = self.dir.join(SHARD_LOG);
-        std::fs::rename(&tmp_path, &shard_path)
-            .map_err(io_err("renaming compacted shard log into place"))?;
-        sync_dir(self.options.sync, &self.dir)?;
-        self.shard_log = open_log(&shard_path, false)?;
-        self.shard_log
-            .seek(SeekFrom::End(0))
-            .map_err(io_err("seeking compacted shard log end"))?;
+        let (shard_count, shard_capacity) = (self.shard_count, self.shard_capacity);
+        self.record.clear();
+        write_record(&self.crc, &mut self.record, KIND_SHARD_HEADER, |body| {
+            put_shard_header(body, shard_count, shard_capacity)
+        });
+        write_record(&self.crc, &mut self.record, KIND_CHECKPOINT, |body| {
+            put_checkpoint(body, batches, state)
+        });
+        self.shard_log = self.replace_log(SHARD_LOG, "shard")?;
         Ok(())
+    }
+
+    /// Atomically replaces log `name` with the records staged in
+    /// `self.record` (temp file, sync, rename, directory sync) and returns
+    /// the new file, positioned for appending.
+    fn replace_log(&self, name: &str, log: &str) -> PersistResult<File> {
+        let tmp_path = self.dir.join(format!("{name}.tmp"));
+        let mut tmp = open_log(&tmp_path, true)?;
+        tmp.write_all(&self.record)
+            .map_err(io_err(format!("writing compacted {log} log")))?;
+        tmp.flush()
+            .map_err(io_err(format!("flushing compacted {log} log")))?;
+        sync_file(self.options.sync, &tmp, "syncing compacted log")?;
+        drop(tmp);
+        let path = self.dir.join(name);
+        std::fs::rename(&tmp_path, &path)
+            .map_err(io_err(format!("renaming compacted {log} log into place")))?;
+        sync_dir(self.options.sync, &self.dir)?;
+        let mut file = open_log(&path, false)?;
+        file.seek(SeekFrom::End(0))
+            .map_err(io_err(format!("seeking compacted {log} log end")))?;
+        Ok(file)
     }
 }
 
@@ -1304,6 +1043,8 @@ fn open_log(path: &Path, truncate: bool) -> PersistResult<File> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::CODEC_DEFLATE;
+    use zipline_gd::BitVec;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1316,15 +1057,34 @@ mod tests {
         BitVec::from_bytes(&[seed; 4])
     }
 
-    fn install(seq: u64, at: u64, id: u64, seed: u8) -> DictionaryUpdate {
-        DictionaryUpdate {
-            seq,
-            at,
-            op: UpdateOp::Install {
-                id,
-                basis: basis(seed),
-            },
+    /// A batch of `payloads` with `updates` placed among them by `at`.
+    fn batch_of(
+        payloads: &[(PacketType, &[u8])],
+        codec: Option<CodecId>,
+        updates: &[DictionaryUpdate],
+    ) -> Batch {
+        let mut batch = Batch::default();
+        batch.set_codec(codec);
+        for (packet_type, bytes) in payloads {
+            batch.push_payload(*packet_type, bytes);
         }
+        batch.place_updates(updates.to_vec());
+        batch
+    }
+
+    /// What [`EngineStore::open`] must expand `batch` into.
+    fn entries_of(batch: &Batch) -> Vec<CommittedEntry> {
+        batch
+            .events()
+            .map(|event| match event {
+                BatchEvent::Update(update) => CommittedEntry::Control(update.clone()),
+                BatchEvent::Payload(packet_type, bytes) => CommittedEntry::Frame {
+                    packet_type,
+                    codec: batch.codec(),
+                    bytes: bytes.to_vec(),
+                },
+            })
+            .collect()
     }
 
     /// A 2x4 dictionary driven through some churn, exported.
@@ -1341,6 +1101,20 @@ mod tests {
         dict.export_state()
     }
 
+    /// Classifies `bases` into `dict` at positions 0.., returning the delta.
+    fn learn(
+        dict: &mut ShardedDictionary,
+        bases: impl Iterator<Item = u8>,
+    ) -> Vec<DictionaryUpdate> {
+        for (at, seed) in bases.enumerate() {
+            let b = basis(seed);
+            let hash = b.hash_words();
+            let shard = dict.shard_of_hash(hash);
+            dict.classify_at(shard, &b, hash, at as u64).unwrap();
+        }
+        dict.take_delta().updates
+    }
+
     #[test]
     fn state_serialization_roundtrips() {
         let state = churned_state();
@@ -1352,56 +1126,28 @@ mod tests {
         assert_eq!(back, state);
     }
 
+    /// Exhaustiveness companion to the workspace lint's L002 rule: two
+    /// committed batches carrying a delta, a checkpoint, payloads and
+    /// control updates must leave every kind the store writes on disk —
+    /// and none of the three it only reads. A kind added to the format
+    /// without flowing through `commit_batch` (or without coverage here)
+    /// fails this test or the lint.
     #[test]
-    fn update_serialization_roundtrips() {
-        let updates = vec![
-            install(0, 3, 7, 0xAB),
-            DictionaryUpdate {
-                seq: 1,
-                at: 3,
-                op: UpdateOp::Remove { id: 7 },
-            },
-        ];
-        let mut buf = Vec::new();
-        for u in &updates {
-            put_update(&mut buf, u);
-        }
-        let mut r = BodyReader::new(&buf, "test updates");
-        let back = vec![read_update(&mut r).unwrap(), read_update(&mut r).unwrap()];
-        r.finish().unwrap();
-        assert_eq!(back, updates);
-    }
-
-    /// Exhaustiveness companion to the workspace lint's L002 rule: one
-    /// committed batch carrying a delta, a checkpoint, frames and control
-    /// updates must leave every declared record kind on disk. A kind
-    /// added to the format without flowing through `commit_batch` (or
-    /// without coverage here) fails this test or the lint.
-    #[test]
-    fn every_declared_kind_appears_on_disk_after_a_full_commit() {
+    fn every_written_kind_appears_on_disk_after_a_full_commit() {
         let dir = temp_dir("kinds");
         let mut store = EngineStore::create(&dir, 2, 4).unwrap();
         let mut dict = ShardedDictionary::new(8, 2).unwrap();
         dict.set_journal(true);
-        for i in 0..4u8 {
-            let b = basis(i);
-            let hash = b.hash_words();
-            let shard = dict.shard_of_hash(hash);
-            dict.classify_at(shard, &b, hash, i as u64).unwrap();
-        }
-        let delta = dict.take_delta();
-        assert!(!delta.updates.is_empty());
+        let updates = learn(&mut dict, 0..4);
+        assert!(!updates.is_empty());
         let state = dict.export_state();
-        let records = vec![(PacketType::Uncompressed, 3u32)];
+        let payloads: [(PacketType, &[u8]); 4] = [(PacketType::Uncompressed, &[7; 3]); 4];
         store
-            .commit_batch(&records, &[7; 3], None, &delta.updates, Some(&state), 64)
+            .commit_batch(&batch_of(&payloads, None, &updates), Some(&state), 64)
             .unwrap();
         store
             .commit_batch(
-                &records,
-                &[8; 3],
-                Some(crate::registry::CODEC_DEFLATE),
-                &[],
+                &batch_of(&payloads[..1], Some(CODEC_DEFLATE), &[]),
                 Some(&state),
                 64,
             )
@@ -1412,25 +1158,25 @@ mod tests {
         let mut kinds = std::collections::BTreeSet::new();
         for log in [SHARD_LOG, FRAME_LOG] {
             let data = std::fs::read(dir.join(log)).unwrap();
-            let (raw, valid) = scan_log(&data, &crc);
-            assert_eq!(valid, data.len(), "{log} has a torn tail");
+            let raw = scan_log(&data, &crc);
+            assert_eq!(
+                raw.last().map(|r| r.end),
+                Some(data.len()),
+                "{log} has a torn tail"
+            );
             kinds.extend(raw.iter().map(|r| r.kind));
         }
-        for (name, kind) in [
-            ("SHARD_HEADER", KIND_SHARD_HEADER),
-            ("DELTA", KIND_DELTA),
-            ("CHECKPOINT", KIND_CHECKPOINT),
-            ("FRAME_HEADER", KIND_FRAME_HEADER),
-            ("FRAME", KIND_FRAME),
-            ("CONTROL", KIND_CONTROL),
-            ("COMMIT", KIND_COMMIT),
-            ("FRAME_TAGGED", KIND_FRAME_TAGGED),
-        ] {
-            assert!(
-                kinds.contains(&kind),
-                "declared kind {name} ({kind:#04x}) was never written"
-            );
-        }
+        assert_eq!(
+            kinds.into_iter().collect::<Vec<_>>(),
+            [
+                KIND_SHARD_HEADER,
+                KIND_DELTA,
+                KIND_CHECKPOINT,
+                KIND_FRAME_HEADER,
+                KIND_COMMIT,
+                KIND_BATCH,
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1442,29 +1188,27 @@ mod tests {
 
         let mut dict = ShardedDictionary::new(8, 2).unwrap();
         dict.set_journal(true);
-        let mut all_updates = Vec::new();
-        for batch in 0..3u8 {
-            for i in 0..4u8 {
-                let b = basis(batch * 4 + i);
-                let hash = b.hash_words();
-                let shard = dict.shard_of_hash(hash);
-                dict.classify_at(shard, &b, hash, i as u64).unwrap();
-            }
-            let delta = dict.take_delta();
-            let records = vec![
-                (PacketType::Uncompressed, 3u32),
-                (PacketType::Compressed, 2u32),
-            ];
-            let wire = vec![batch; 5];
+        let mut expected = Vec::new();
+        for round in 0..3u8 {
+            let updates = learn(&mut dict, round * 4..round * 4 + 4);
+            let codec = (round == 1).then_some(CODEC_DEFLATE);
+            let batch = batch_of(
+                &[
+                    (PacketType::Uncompressed, &[round; 3]),
+                    (PacketType::Compressed, &[round; 2]),
+                    (PacketType::Compressed, &[round + 1; 2]),
+                    (PacketType::Raw, &[round; 1]),
+                ],
+                codec,
+                &updates,
+            );
             let state = dict.export_state();
-            store
-                .commit_batch(&records, &wire, None, &delta.updates, Some(&state), 128)
-                .unwrap();
-            all_updates.extend(delta.updates);
+            store.commit_batch(&batch, Some(&state), 128).unwrap();
+            expected.extend(entries_of(&batch));
         }
         assert_eq!(store.batches_committed(), 3);
         assert_eq!(store.bytes_in_committed(), 384);
-        assert_eq!(store.frames_committed(), 6);
+        assert_eq!(store.frames_committed(), 12);
         let final_state = dict.export_state();
         drop(store);
 
@@ -1473,24 +1217,130 @@ mod tests {
         assert_eq!(store.batches_committed(), 3);
         assert_eq!(warm.batches, 3);
         assert_eq!(warm.bytes_in, 384);
-        assert_eq!(warm.frames, 6);
+        assert_eq!(warm.frames, 12);
         assert!(warm.exact, "cadence-1 checkpoints restore exactly");
         assert_eq!(warm.dictionary, final_state);
-        let frames: Vec<_> = warm
-            .committed
-            .iter()
-            .filter(|e| matches!(e, CommittedEntry::Frame { .. }))
-            .collect();
-        assert_eq!(frames.len(), 6);
-        let controls: Vec<_> = warm
-            .committed
-            .iter()
-            .filter_map(|e| match e {
-                CommittedEntry::Control(u) => Some(u.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(controls, all_updates);
+        // Payloads and control updates come back expanded, in emission
+        // order: every update ahead of the payload at its position, the
+        // middle batch's payloads under its codec tag.
+        assert_eq!(warm.committed, expected);
+        assert!(matches!(
+            warm.committed.first(),
+            Some(CommittedEntry::Control(_))
+        ));
+        assert!(warm.committed.iter().any(|e| matches!(
+            e,
+            CommittedEntry::Frame { codec: Some(id), .. } if *id == CODEC_DEFLATE
+        )));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Stores written before the batch record framed every payload and
+    /// update on its own. Such a journal — here written record by record,
+    /// as `commit_batch` used to — still opens, expands to the same
+    /// entries, and takes batch records after it.
+    #[test]
+    fn journals_of_per_payload_records_still_open_and_grow() {
+        let dir = temp_dir("legacy");
+        drop(EngineStore::create(&dir, 1, 8).unwrap());
+        let crc = record_crc();
+        let mut buf = Vec::new();
+        let mut dict = ShardedDictionary::new(8, 1).unwrap();
+        dict.set_journal(true);
+        let updates = learn(&mut dict, 0..2);
+        let old = [
+            batch_of(
+                &[
+                    (PacketType::Uncompressed, &[1; 6]),
+                    (PacketType::Uncompressed, &[2; 6]),
+                ],
+                None,
+                &updates,
+            ),
+            batch_of(&[(PacketType::Raw, &[3; 9])], Some(CODEC_DEFLATE), &[]),
+        ];
+        let mut frame_log = open_log(&dir.join(FRAME_LOG), false).unwrap();
+        frame_log.seek(SeekFrom::End(0)).unwrap();
+        let mut shard_log = open_log(&dir.join(SHARD_LOG), false).unwrap();
+        shard_log.seek(SeekFrom::End(0)).unwrap();
+        let mut frames = 0u64;
+        for (number, batch) in (1u64..).zip(&old) {
+            for entry in entries_of(batch) {
+                match entry {
+                    CommittedEntry::Control(update) => append_record(
+                        &mut frame_log,
+                        &crc,
+                        &mut buf,
+                        KIND_CONTROL,
+                        "legacy control",
+                        |body| put_update(body, &update),
+                    ),
+                    CommittedEntry::Frame {
+                        packet_type,
+                        codec,
+                        bytes,
+                    } => append_record(
+                        &mut frame_log,
+                        &crc,
+                        &mut buf,
+                        if codec.is_some() {
+                            KIND_FRAME_TAGGED
+                        } else {
+                            KIND_FRAME
+                        },
+                        "legacy frame",
+                        |body| {
+                            body.extend(codec.map(CodecId::as_u8));
+                            body.push(packet_type.number());
+                            put_u32(body, bytes.len() as u32);
+                            body.extend_from_slice(&bytes);
+                        },
+                    ),
+                }
+                .unwrap();
+            }
+            append_record(
+                &mut shard_log,
+                &crc,
+                &mut buf,
+                KIND_DELTA,
+                "legacy delta",
+                |body| {
+                    put_u64(body, number);
+                    put_u32(body, batch.updates().len() as u32);
+                    batch.updates().for_each(|update| put_update(body, update));
+                },
+            )
+            .unwrap();
+            frames += batch.payload_count();
+            append_record(
+                &mut frame_log,
+                &crc,
+                &mut buf,
+                KIND_COMMIT,
+                "legacy commit",
+                |body| put_commit(body, number, number * 64, frames),
+            )
+            .unwrap();
+        }
+        drop((frame_log, shard_log));
+
+        let mut expected: Vec<_> = old.iter().flat_map(entries_of).collect();
+        let (mut store, warm) = EngineStore::open(&dir).unwrap();
+        let warm = warm.expect("two committed batches");
+        assert_eq!((warm.batches, warm.frames, warm.bytes_in), (2, 3, 128));
+        assert_eq!(warm.committed, expected);
+        let restored = ShardedDictionary::from_state(&warm.dictionary).unwrap();
+        assert_eq!(restored.snapshot().entries, dict.snapshot().entries);
+
+        let next = batch_of(&[(PacketType::Compressed, &[4; 2])], None, &[]);
+        store.commit_batch(&next, None, 32).unwrap();
+        drop(store);
+        expected.extend(entries_of(&next));
+        let (_, warm) = EngineStore::open(&dir).unwrap();
+        let warm = warm.unwrap();
+        assert_eq!((warm.batches, warm.frames, warm.bytes_in), (3, 4, 160));
+        assert_eq!(warm.committed, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1498,64 +1348,119 @@ mod tests {
     fn torn_tails_truncate_to_the_last_commit() {
         let dir = temp_dir("torn");
         let mut store = EngineStore::create(&dir, 1, 8).unwrap();
-        let records = vec![(PacketType::Raw, 4u32)];
-        store
-            .commit_batch(
-                &records,
-                &[1, 2, 3, 4],
+        let mut dict = ShardedDictionary::new(8, 1).unwrap();
+        dict.set_journal(true);
+        let mut batches = Vec::new();
+        for round in 0..2u8 {
+            let updates = learn(&mut dict, round * 2..round * 2 + 2);
+            let batch = batch_of(
+                &[
+                    (PacketType::Uncompressed, &[round; 5]),
+                    (PacketType::Uncompressed, &[round + 7; 5]),
+                    (PacketType::Raw, &[round; 4]),
+                ],
                 None,
-                &[],
-                Some(&churn_free_state()),
-                4,
-            )
-            .unwrap();
-        store
-            .commit_batch(
-                &records,
-                &[5, 6, 7, 8],
-                None,
-                &[],
-                Some(&churn_free_state()),
-                4,
-            )
-            .unwrap();
+                &updates,
+            );
+            store
+                .commit_batch(&batch, Some(&dict.export_state()), 4)
+                .unwrap();
+            batches.push(batch);
+        }
         drop(store);
 
-        // Chop bytes off the frame log at every offset. Shallow cuts (a
-        // crash mid-batch-2) recover to batch 1 or 2; deeper cuts destroy
-        // records the shard log proves were committed, which must be loud
-        // — never a silent rollback.
         let frame_path = dir.join(FRAME_LOG);
         let shard_path = dir.join(SHARD_LOG);
         let full = std::fs::read(&frame_path).unwrap();
         let shard_full = std::fs::read(&shard_path).unwrap();
-        let mut seen = std::collections::BTreeSet::new();
+        // header, batch 1, commit 1, batch 2, commit 2.
+        let ends: Vec<usize> = scan_log(&full, &record_crc())
+            .iter()
+            .map(|r| r.end)
+            .collect();
+        assert_eq!(ends.len(), 5);
+        assert!(ends[3] - ends[2] > 60, "batch 2 is a record of some size");
+
+        // Chop bytes off the frame log at every offset. A cut anywhere
+        // inside batch 2's record or its commit marker (a crash mid-batch-2)
+        // recovers to exactly batch 1; deeper cuts destroy records the
+        // shard log proves were committed, which must be loud — never a
+        // silent rollback.
         for cut in (0..=full.len()).rev() {
             std::fs::write(&frame_path, &full[..cut]).unwrap();
             match EngineStore::open(&dir) {
-                Ok((store, _)) => {
-                    seen.insert(store.batches_committed());
-                    assert!(
-                        (1..=2).contains(&store.batches_committed()),
-                        "cut {cut} silently rolled back past the shard log"
+                Ok((store, warm)) => {
+                    let survivors = if cut == full.len() { 2 } else { 1 };
+                    assert!(cut >= ends[2], "cut {cut} reached into committed batch 1");
+                    assert_eq!(store.batches_committed(), survivors, "cut {cut}");
+                    let expected: Vec<_> = batches[..survivors as usize]
+                        .iter()
+                        .flat_map(entries_of)
+                        .collect();
+                    assert_eq!(warm.unwrap().committed, expected, "cut {cut}");
+                    assert_eq!(
+                        std::fs::metadata(&frame_path).unwrap().len() as usize,
+                        ends[2 * survivors as usize],
+                        "cut {cut}: the torn tail is truncated away"
                     );
                 }
                 Err(PersistError::Corrupt(_)) => {
-                    // Cuts reaching committed batches (or the header) are
-                    // loud, not a guess.
+                    assert!(
+                        cut < ends[2],
+                        "cut {cut} only tore the interrupted batch and must recover"
+                    );
                 }
                 Err(e) => panic!("unexpected error: {e}"),
             }
             // Restore for the next iteration (open() itself truncates).
-            std::fs::write(&frame_path, &full).unwrap();
             std::fs::write(&shard_path, &shard_full).unwrap();
         }
-        assert!(seen.contains(&1) && seen.contains(&2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn churn_free_state() -> DictionaryState {
-        ShardedDictionary::new(8, 1).unwrap().export_state()
+    /// A batch record whose CRC holds but whose body does not parse was
+    /// written wrong, not torn: loud, typed, and bounded by the record's
+    /// own length whatever its counts claim.
+    #[test]
+    fn a_committed_batch_record_that_does_not_parse_is_corrupt() {
+        let hostile: [(&str, Vec<u8>); 4] = [
+            // codec 0, no updates, one run: type 3, len 0, count 2^63.
+            (
+                "empty payload run",
+                vec![
+                    0, 0, 1, 3, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01,
+                ],
+            ),
+            ("unknown codec id 238", vec![0xEE, 0, 0]),
+            ("unknown packet type 9", vec![0, 0, 1, 9, 1, 1, 0]),
+            ("payload bytes", vec![0, 0, 1, 3, 1, 1, 0, 0]),
+        ];
+        for (needle, body) in hostile {
+            let dir = temp_dir("hostile");
+            let mut store = EngineStore::create(&dir, 1, 8).unwrap();
+            store.commit_batch(&Batch::default(), None, 0).unwrap();
+            drop(store);
+            let mut log = open_log(&dir.join(FRAME_LOG), false).unwrap();
+            log.seek(SeekFrom::End(0)).unwrap();
+            let mut buf = Vec::new();
+            append_record(
+                &mut log,
+                &record_crc(),
+                &mut buf,
+                KIND_BATCH,
+                "hostile",
+                |b| b.extend_from_slice(&body),
+            )
+            .unwrap();
+            drop(log);
+            match EngineStore::open(&dir) {
+                Err(PersistError::Corrupt(msg)) => {
+                    assert!(msg.contains(needle), "expected {needle:?} in: {msg}")
+                }
+                other => panic!("expected corruption naming {needle:?}, got {other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1564,18 +1469,12 @@ mod tests {
         let mut store = EngineStore::create(&dir, 1, 8).unwrap();
         let mut dict = ShardedDictionary::new(8, 1).unwrap();
         dict.set_journal(true);
-        for batch in 0..2u8 {
-            let b = basis(batch);
-            let hash = b.hash_words();
-            dict.classify_at(0, &b, hash, 0).unwrap();
-            let delta = dict.take_delta();
+        for round in 0..2u8 {
+            let updates = learn(&mut dict, round..round + 1);
             // No checkpoint: recovery must lean on the delta records.
             store
                 .commit_batch(
-                    &[(PacketType::Raw, 1u32)],
-                    &[batch],
-                    None,
-                    &delta.updates,
+                    &batch_of(&[(PacketType::Raw, &[round])], None, &updates),
                     None,
                     1,
                 )
@@ -1588,11 +1487,12 @@ mod tests {
         // must refuse rather than misrestore.
         let shard_path = dir.join(SHARD_LOG);
         let mut bytes = std::fs::read(&shard_path).unwrap();
-        let (records, _) = scan_log(&bytes, &record_crc());
-        let delta_rec = &records[1];
-        assert_eq!(delta_rec.kind, KIND_DELTA);
-        let mid = (delta_rec.body_start + delta_rec.body_end) / 2;
-        bytes[mid] ^= 0xFF;
+        let (header_end, delta_end) = {
+            let records = scan_log(&bytes, &record_crc());
+            assert_eq!(records[1].kind, KIND_DELTA);
+            (records[0].end, records[1].end)
+        };
+        bytes[(header_end + delta_end) / 2] ^= 0xFF;
         std::fs::write(&shard_path, &bytes).unwrap();
         match EngineStore::open(&dir) {
             Err(PersistError::Corrupt(msg)) => {
@@ -1608,7 +1508,7 @@ mod tests {
         let dir = temp_dir("dup");
         let mut store = EngineStore::create(&dir, 1, 8).unwrap();
         store
-            .commit_batch(&[(PacketType::Raw, 2u32)], &[9, 9], None, &[], None, 2)
+            .commit_batch(&batch_of(&[(PacketType::Raw, &[9, 9])], None, &[]), None, 2)
             .unwrap();
         drop(store);
 
@@ -1616,10 +1516,12 @@ mod tests {
         // repeated batch number is structurally impossible.
         let frame_path = dir.join(FRAME_LOG);
         let mut bytes = std::fs::read(&frame_path).unwrap();
-        let (records, _) = scan_log(&bytes, &record_crc());
-        let commit = records.last().unwrap();
-        let start = commit.body_start - 5;
-        let tail = bytes[start..commit.end].to_vec();
+        let start = {
+            let records = scan_log(&bytes, &record_crc());
+            assert_eq!(records.last().unwrap().kind, KIND_COMMIT);
+            records[records.len() - 2].end
+        };
+        let tail = bytes[start..].to_vec();
         bytes.extend_from_slice(&tail);
         std::fs::write(&frame_path, &bytes).unwrap();
         match EngineStore::open(&dir) {
@@ -1641,19 +1543,12 @@ mod tests {
         });
         let mut dict = ShardedDictionary::new(8, 2).unwrap();
         dict.set_journal(true);
-        for batch in 0..3u8 {
-            let b = basis(batch);
-            let hash = b.hash_words();
-            let shard = dict.shard_of_hash(hash);
-            dict.classify_at(shard, &b, hash, 0).unwrap();
-            let delta = dict.take_delta();
+        for round in 0..3u8 {
+            let updates = learn(&mut dict, round..round + 1);
             let state = store.checkpoint_due().then(|| dict.export_state());
             store
                 .commit_batch(
-                    &[(PacketType::Raw, 1u32)],
-                    &[batch],
-                    None,
-                    &delta.updates,
+                    &batch_of(&[(PacketType::Raw, &[round])], None, &updates),
                     state.as_ref(),
                     1,
                 )
@@ -1681,18 +1576,12 @@ mod tests {
         let mut store = EngineStore::create(&dir, 1, 8).unwrap();
         let mut dict = ShardedDictionary::new(8, 1).unwrap();
         dict.set_journal(true);
-        for batch in 0..2u8 {
-            let b = basis(batch);
-            let hash = b.hash_words();
-            dict.classify_at(0, &b, hash, 0).unwrap();
-            let delta = dict.take_delta();
+        for round in 0..2u8 {
+            let updates = learn(&mut dict, round..round + 1);
             let state = dict.export_state();
             store
                 .commit_batch(
-                    &[(PacketType::Raw, 1u32)],
-                    &[batch],
-                    None,
-                    &delta.updates,
+                    &batch_of(&[(PacketType::Raw, &[round])], None, &updates),
                     Some(&state),
                     1,
                 )
@@ -1708,6 +1597,7 @@ mod tests {
         assert_eq!(warm.batches, 2);
         assert!(warm.exact);
         assert_eq!(warm.dictionary, final_state);
+        assert!(warm.committed.is_empty(), "the journal was retired");
         assert_eq!(
             std::fs::metadata(dir.join(SHARD_LOG)).unwrap().len(),
             compacted_len,
@@ -1734,18 +1624,12 @@ mod tests {
             assert_eq!(store.options().sync, sync);
             let mut dict = ShardedDictionary::new(8, 1).unwrap();
             dict.set_journal(true);
-            for batch in 0..3u8 {
-                let b = basis(batch);
-                let hash = b.hash_words();
-                dict.classify_at(0, &b, hash, 0).unwrap();
-                let delta = dict.take_delta();
+            for round in 0..3u8 {
+                let updates = learn(&mut dict, round..round + 1);
                 let state = dict.export_state();
                 store
                     .commit_batch(
-                        &[(PacketType::Raw, 1u32)],
-                        &[batch],
-                        None,
-                        &delta.updates,
+                        &batch_of(&[(PacketType::Raw, &[round])], None, &updates),
                         Some(&state),
                         1,
                     )

@@ -18,26 +18,31 @@
 //! * the worker owns the [`CompressionEngine`] for the stream's lifetime:
 //!   it compresses each batch, drains the live-sync
 //!   [`DictionaryDelta`](crate::DictionaryDelta), serializes every payload
-//!   through the backend's recycled wire scratch into a flat per-batch
-//!   buffer, and sends the result back;
+//!   through the backend's recycled wire scratch into one
+//!   [`Batch`] — the payloads back to back, their shapes run-
+//!   length coded, the delta's updates placed among them — and sends the
+//!   result back;
 //! * batch buffers are **double-buffered and recycled**: each result carries
-//!   its input buffer and wire buffers home, and the caller reuses them for
+//!   its input buffer and its `Batch` home, and the caller reuses them for
 //!   the next batch (the same scratch-recycling discipline as the engine's
-//!   per-worker `EncodeScratch`), so steady state allocates nothing beyond
-//!   the per-batch delta `Vec` that live sync drains — the same allocation
+//!   per-worker `EncodeScratch`), so with a sink that leaves the batch in
+//!   place steady state allocates nothing beyond the per-batch delta `Vec`
+//!   that live sync drains — the same allocation
 //!   [`take_delta`](crate::CompressionBackend::take_delta) makes on the
 //!   synchronous path;
 //! * the caller drains finished batches opportunistically on every push and
-//!   exhaustively at [`finish`](PipelinedStream::finish), invoking the
-//!   payload and control sinks **on the calling thread**, in batch order —
-//!   sinks therefore need no `Send` bound and observe exactly the sequence
-//!   the synchronous stream would have produced.
+//!   exhaustively at [`finish`](PipelinedStream::finish), handing each one
+//!   whole to the stream's [`BatchSink`] **on the calling
+//!   thread**, in batch order — sinks therefore need no `Send` bound. The
+//!   per-payload constructors wrap their closures in
+//!   [`PayloadSinks`], which expands a batch into
+//!   exactly the call sequence the synchronous stream would have produced.
 //!
 //! # Determinism
 //!
 //! The worker processes batches in FIFO order against the same engine state
-//! the synchronous stream would have used, and emission goes through the
-//! same `InterleavedEmitter` discipline (shared with `EngineStream`), so
+//! the synchronous stream would have used, and both streams stage and
+//! expand a batch through the same code (`stage_batch`, `PayloadSinks`), so
 //! the output — payload bytes
 //! *and* interleaved control updates — remains a pure function of
 //! `(data, shard count, batch size)` and is **bit-identical** to
@@ -86,9 +91,9 @@
 //! For an engine built with
 //! [`EngineBuilder::durable`](crate::EngineBuilder::durable), the
 //! [`EngineStore`] is detached at construction and held **caller-side**:
-//! each finished batch is committed (frames + dictionary delta + commit
-//! marker) on the emitting thread strictly before its first sink call, so
-//! sinks only ever observe committed output — the same guarantee as the
+//! each finished batch is committed (batch record + dictionary delta +
+//! commit marker) on the emitting thread strictly before the sink sees it,
+//! so sinks only ever observe committed output — the same guarantee as the
 //! synchronous [`EngineStream`](crate::EngineStream). Because the
 //! dictionary lives on the worker, mid-stream commits carry no checkpoint;
 //! recovery folds the delta log instead, and
@@ -104,10 +109,11 @@ use std::thread::JoinHandle;
 use crate::backend::CompressionBackend;
 use crate::engine::{CompressionEngine, GdBackend, SpawnPolicy};
 use crate::error::{EngineError, Result};
+use crate::frame::Batch;
 use crate::persist::EngineStore;
-use crate::registry::{CodecCursor, CodecId};
+use crate::registry::CodecCursor;
 use crate::shard::DictionaryUpdate;
-use crate::stream::{InterleavedEmitter, StreamSummary};
+use crate::stream::{deliver, stage_batch, BatchSink, PayloadSinks, StreamSummary};
 use zipline_gd::error::{GdError, Result as GdResult};
 use zipline_gd::packet::PacketType;
 use zipline_traces::ChunkWorkload;
@@ -160,26 +166,17 @@ impl PipelineConfig {
 }
 
 /// One batch travelling through the pipeline, in both directions: towards
-/// the worker `input` holds the filled batch; on the way back `wire`,
-/// `records` and `updates` hold the compressed result and `input` rides
-/// along so the caller can recycle it. The `input`, `wire` and `records`
-/// buffers are reused across the stream's lifetime; `updates` is the `Vec`
-/// freshly allocated by `take_delta` each batch (exactly as on the
-/// synchronous path) and is consumed by the emission.
+/// the worker `input` holds the filled batch; on the way back `batch` holds
+/// the compressed result and `input` rides along so the caller can recycle
+/// it. Both are reused across the stream's lifetime (a sink that moves the
+/// batch's buffers out leaves an empty one to grow again).
 #[derive(Debug, Default)]
 struct BatchShuttle {
     /// The batch's input bytes (a whole number of backend units, except for
     /// the final flush).
     input: Vec<u8>,
-    /// Serialized payloads of the whole batch, concatenated.
-    wire: Vec<u8>,
-    /// `(packet type, payload length)` per record, in input order.
-    records: Vec<(PacketType, u32)>,
-    /// Dictionary updates journaled by this batch (empty without live sync).
-    updates: Vec<DictionaryUpdate>,
-    /// The batch's codec tag, captured worker-side from a tagging
-    /// (multi-codec) backend; `None` for fixed backends.
-    codec: Option<CodecId>,
+    /// The compressed batch: codec tag, payloads, placed dictionary updates.
+    batch: Batch,
 }
 
 /// The worker half of the threaded pipeline: owns the engine, compresses
@@ -201,33 +198,15 @@ fn run_worker<B: CompressionBackend>(
     engine
 }
 
-/// Compresses one shuttle in place: batch → wire bytes + record index +
-/// drained delta. Identical sequencing to `EngineStream::emit_batch`
-/// (compress, drain journal, serialize in input order).
+/// Compresses one shuttle in place: input → staged [`Batch`]. Identical
+/// sequencing to `EngineStream::emit_batch` (compress, drain journal,
+/// serialize in input order).
 fn compress_shuttle<B: CompressionBackend>(
     engine: &mut CompressionEngine<B>,
     shuttle: &mut BatchShuttle,
 ) -> GdResult<()> {
-    shuttle.wire.clear();
-    shuttle.records.clear();
-    shuttle.updates.clear();
     let batch = engine.compress_batch(&shuttle.input)?;
-    let backend = engine.backend_mut();
-    // Drain the journal even when no control sink consumes it, so stale
-    // events never leak into a later batch's delta (same rule as the
-    // synchronous stream).
-    if backend.live_sync_enabled() {
-        shuttle.updates = backend.take_delta().updates;
-    }
-    // Resolve the tag before emit_batch consumes the batch by value.
-    shuttle.codec = backend
-        .tags_batches()
-        .then(|| backend.batch_codec_id(&batch));
-    let BatchShuttle { wire, records, .. } = shuttle;
-    backend.emit_batch(batch, &mut |packet_type, bytes| {
-        records.push((packet_type, bytes.len() as u32));
-        wire.extend_from_slice(bytes);
-    })
+    stage_batch(engine.backend_mut(), batch, &mut shuttle.batch)
 }
 
 /// Caller-side state of the threaded pipeline.
@@ -238,7 +217,7 @@ struct Threaded<B: CompressionBackend> {
     /// FIFO results; batch order is emission order.
     results: Receiver<GdResult<BatchShuttle>>,
     worker: JoinHandle<CompressionEngine<B>>,
-    /// Recycled shuttles (input + wire buffers), refilled as results drain.
+    /// Recycled shuttles (input + batch buffers), refilled as results drain.
     spare: Vec<BatchShuttle>,
 }
 
@@ -253,39 +232,35 @@ enum Backing<B: CompressionBackend> {
 }
 
 /// Pipelined front-end over a [`CompressionEngine`]; see the module docs.
-pub struct PipelinedStream<F, G = fn(&DictionaryUpdate), B = GdBackend>
+///
+/// `S` is where finished batches go. The per-payload constructors
+/// ([`Self::new`], [`Self::with_control_sink`]) wrap their closures in a
+/// [`PayloadSinks`]; [`Self::with_batch_sink`] takes any [`BatchSink`].
+pub struct PipelinedStream<S, B = GdBackend>
 where
-    F: FnMut(PacketType, &[u8]),
-    G: FnMut(&DictionaryUpdate),
+    S: BatchSink,
     B: CompressionBackend + Send + 'static,
 {
     backing: Backing<B>,
-    sink: F,
-    /// Live-sync control sink, fed each dictionary update in wire order.
-    control_sink: Option<G>,
+    sink: S,
     /// Bytes pushed but not yet dispatched (always shorter than a batch).
     buffer: Vec<u8>,
     /// Dispatch threshold in bytes (a whole number of backend units).
     batch_bytes: usize,
     summary: StreamSummary,
     /// Durable store, detached from the engine at construction and held on
-    /// the **calling** thread: commit-then-emit happens where the sinks run,
-    /// so sinks only ever observe committed batches, while the worker owns
-    /// nothing but the engine. Mid-stream commits carry no checkpoint (the
-    /// dictionary lives on the worker); `finish` compacts the store from
-    /// the returned engine and re-attaches it.
+    /// the **calling** thread: commit-then-emit happens where the sink runs,
+    /// so the sink only ever observes committed batches, while the worker
+    /// owns nothing but the engine. Mid-stream commits carry no checkpoint
+    /// (the dictionary lives on the worker); `finish` compacts the store
+    /// from the returned engine and re-attaches it.
     store: Option<EngineStore>,
     /// Reusable staging shuttle for the inline backing, so the inline path
     /// shares the threaded path's commit-then-emit discipline.
     inline_shuttle: BatchShuttle,
-    /// When attached, publishes each batch's codec tag before its payloads
-    /// reach the sink (see [`EngineStream::set_codec_cursor`]).
-    ///
-    /// [`EngineStream::set_codec_cursor`]: crate::EngineStream::set_codec_cursor
-    codec_cursor: Option<CodecCursor>,
 }
 
-impl<F, B> PipelinedStream<F, fn(&DictionaryUpdate), B>
+impl<F, B> PipelinedStream<PayloadSinks<F, fn(&DictionaryUpdate)>, B>
 where
     F: FnMut(PacketType, &[u8]),
     B: CompressionBackend + Send + 'static,
@@ -304,7 +279,7 @@ where
     }
 }
 
-impl<F, G, B> PipelinedStream<F, G, B>
+impl<F, G, B> PipelinedStream<PayloadSinks<F, G>, B>
 where
     F: FnMut(PacketType, &[u8]),
     G: FnMut(&DictionaryUpdate),
@@ -317,10 +292,37 @@ where
     /// as [`EngineStream::with_control_sink`](crate::EngineStream::with_control_sink)
     /// would.
     pub fn with_control_sink(
-        mut engine: CompressionEngine<B>,
+        engine: CompressionEngine<B>,
         batch_units: usize,
         sink: F,
         control_sink: Option<G>,
+    ) -> Result<Self> {
+        Self::with_batch_sink(engine, batch_units, PayloadSinks::new(sink, control_sink))
+    }
+
+    /// Attaches a [`CodecCursor`] the stream publishes each batch's codec
+    /// tag through, exactly as
+    /// [`EngineStream::set_codec_cursor`](crate::EngineStream::set_codec_cursor)
+    /// does: `Some(id)` while a tagging backend's batch flows to the sink,
+    /// `None` for fixed backends.
+    pub fn set_codec_cursor(&mut self, cursor: CodecCursor) {
+        self.sink.set_codec_cursor(cursor);
+    }
+}
+
+impl<S, B> PipelinedStream<S, B>
+where
+    S: BatchSink,
+    B: CompressionBackend + Send + 'static,
+{
+    /// Creates a pipelined stream that hands each finished batch, whole, to
+    /// `sink` on the calling thread. When the sink
+    /// [wants updates](BatchSink::wants_updates), journaling is enabled on
+    /// the backend before the engine moves to the worker.
+    pub fn with_batch_sink(
+        mut engine: CompressionEngine<B>,
+        batch_units: usize,
+        sink: S,
     ) -> Result<Self> {
         let pipeline = engine.pipeline().ok_or_else(|| {
             GdError::InvalidConfig(
@@ -331,7 +333,7 @@ where
         })?;
         pipeline.validate()?;
         let unit_bytes = engine.backend().unit_bytes().max(1);
-        if control_sink.is_some() {
+        if sink.wants_updates() {
             engine.set_live_sync(true);
         }
         // The store stays caller-side; only the engine crosses to the
@@ -361,23 +363,12 @@ where
         Ok(Self {
             backing,
             sink,
-            control_sink,
             buffer: Vec::new(),
             batch_bytes: batch_units.max(1) * unit_bytes,
             summary: StreamSummary::default(),
             store,
             inline_shuttle: BatchShuttle::default(),
-            codec_cursor: None,
         })
-    }
-
-    /// Attaches a [`CodecCursor`] the stream publishes each batch's codec
-    /// tag through, exactly as
-    /// [`EngineStream::set_codec_cursor`](crate::EngineStream::set_codec_cursor)
-    /// does: `Some(id)` while a tagging backend's batch flows to the sink,
-    /// `None` for fixed backends.
-    pub fn set_codec_cursor(&mut self, cursor: CodecCursor) {
-        self.codec_cursor = Some(cursor);
     }
 
     /// True when the stream runs an engine worker thread (false on the
@@ -424,12 +415,10 @@ where
         let Self {
             backing,
             sink,
-            control_sink,
             buffer,
             summary,
             store,
             inline_shuttle,
-            codec_cursor,
             ..
         } = self;
         match backing {
@@ -437,15 +426,7 @@ where
                 std::mem::swap(&mut inline_shuttle.input, buffer);
                 buffer.clear();
                 compress_shuttle(engine, inline_shuttle)?;
-                emit_shuttle(
-                    inline_shuttle,
-                    store.as_mut(),
-                    codec_cursor.as_ref(),
-                    sink,
-                    control_sink,
-                    summary,
-                )?;
-                Ok(())
+                emit_shuttle(inline_shuttle, store.as_mut(), sink, summary)
             }
             Backing::Threaded(threaded) => {
                 // Opportunistic drain keeps result memory bounded and
@@ -453,14 +434,7 @@ where
                 // (both TryRecvError variants just mean "nothing to drain").
                 while let Ok(result) = threaded.results.try_recv() {
                     let mut shuttle = result?;
-                    emit_shuttle(
-                        &mut shuttle,
-                        store.as_mut(),
-                        codec_cursor.as_ref(),
-                        sink,
-                        control_sink,
-                        summary,
-                    )?;
+                    emit_shuttle(&mut shuttle, store.as_mut(), sink, summary)?;
                     threaded.spare.push(shuttle);
                 }
                 let mut shuttle = threaded.spare.pop().unwrap_or_default();
@@ -505,10 +479,8 @@ where
         let Self {
             backing,
             sink,
-            control_sink,
             summary,
             store,
-            codec_cursor,
             ..
         } = &mut self;
         let mut engine = match std::mem::replace(backing, Backing::Closed) {
@@ -526,24 +498,12 @@ where
                 drop(jobs);
                 let mut failure: Option<EngineError> = None;
                 for result in results.iter() {
-                    match result {
-                        Ok(mut shuttle) => {
-                            if let Err(e) = emit_shuttle(
-                                &mut shuttle,
-                                store.as_mut(),
-                                codec_cursor.as_ref(),
-                                sink,
-                                control_sink,
-                                summary,
-                            ) {
-                                failure = Some(e);
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            failure = Some(e.into());
-                            break;
-                        }
+                    let emitted = result.map_err(EngineError::from).and_then(|mut shuttle| {
+                        emit_shuttle(&mut shuttle, store.as_mut(), sink, summary)
+                    });
+                    if let Err(e) = emitted {
+                        failure = Some(e);
+                        break;
                     }
                 }
                 let engine = match worker.join() {
@@ -567,51 +527,25 @@ where
     }
 }
 
-/// Commits (when durable) then emits one finished batch through the shared
-/// interleaving discipline. The commit happens strictly before the first
-/// sink call, so a crash between them re-emits from the store's journal
-/// rather than losing the batch.
-fn emit_shuttle<F, G>(
+/// Commits (when durable) then hands one finished batch to the sink. The
+/// commit happens strictly before the sink sees the batch, so a crash
+/// between them re-emits from the store's journal rather than losing it.
+fn emit_shuttle(
     shuttle: &mut BatchShuttle,
     store: Option<&mut EngineStore>,
-    cursor: Option<&CodecCursor>,
-    sink: &mut F,
-    control_sink: &mut Option<G>,
+    sink: &mut impl BatchSink,
     summary: &mut StreamSummary,
-) -> Result<()>
-where
-    F: FnMut(PacketType, &[u8]),
-    G: FnMut(&DictionaryUpdate),
-{
+) -> Result<()> {
     if let Some(store) = store {
-        store.commit_batch(
-            &shuttle.records,
-            &shuttle.wire,
-            shuttle.codec,
-            &shuttle.updates,
-            None,
-            shuttle.input.len() as u64,
-        )?;
+        store.commit_batch(&shuttle.batch, None, shuttle.input.len() as u64)?;
     }
-    if let Some(cursor) = cursor {
-        cursor.set(shuttle.codec);
-    }
-    let updates = std::mem::take(&mut shuttle.updates);
-    let mut emitter = InterleavedEmitter::new(updates, sink, control_sink.as_mut(), summary);
-    let mut offset = 0usize;
-    for &(packet_type, len) in &shuttle.records {
-        let end = offset + len as usize;
-        emitter.payload(packet_type, &shuttle.wire[offset..end]);
-        offset = end;
-    }
-    emitter.finish();
+    deliver(&mut shuttle.batch, sink, summary);
     Ok(())
 }
 
-impl<F, G, B> Drop for PipelinedStream<F, G, B>
+impl<S, B> Drop for PipelinedStream<S, B>
 where
-    F: FnMut(PacketType, &[u8]),
-    G: FnMut(&DictionaryUpdate),
+    S: BatchSink,
     B: CompressionBackend + Send + 'static,
 {
     /// Dropping the stream without [`finish`](Self::finish) abandons it:

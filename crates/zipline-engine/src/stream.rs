@@ -39,9 +39,9 @@
 //! On an engine built with [`EngineBuilder::durable`](crate::EngineBuilder::durable)
 //! the stream journals every batch through the attached
 //! [`EngineStore`](crate::EngineStore) **before** the caller's sinks see
-//! it: payloads and interleaved updates are staged, committed (frame log +
-//! shard delta + checkpoint when due + commit marker), and only then
-//! emitted. Sinks therefore only ever observe committed batches — a crash
+//! it: the batch — payloads and interleaved updates — is staged, committed
+//! (batch record + shard delta + checkpoint when due + commit marker), and
+//! only then emitted. Sinks therefore only ever observe committed batches — a crash
 //! at any point either loses an uncommitted batch (whose input re-runs on
 //! resume) or leaves a committed batch replayable from the store's
 //! [`WarmStart`](crate::WarmStart) journal, never a half-emitted one.
@@ -51,81 +51,91 @@
 use crate::backend::CompressionBackend;
 use crate::engine::{CompressionEngine, GdBackend};
 use crate::error::Result;
+use crate::frame::{Batch, BatchEvent};
 use crate::registry::CodecCursor;
 use crate::shard::DictionaryUpdate;
 use zipline_gd::packet::PacketType;
 use zipline_traces::ChunkWorkload;
 
-/// Shared emission discipline of [`EngineStream`] and
-/// [`PipelinedStream`](crate::PipelinedStream): walks one batch's payloads in
-/// input order, interleaving the batch's dictionary updates so that every
-/// update reaches the control sink strictly before the payload at whose
-/// position it happened, with the same [`StreamSummary`] accounting on both
-/// paths. Keeping this in one place is what makes the pipelined stream
-/// bit-identical (payloads *and* control frames) to the synchronous one.
-pub(crate) struct InterleavedEmitter<'a, F, G>
-where
-    F: FnMut(PacketType, &[u8]),
-    G: FnMut(&DictionaryUpdate),
-{
-    sink: &'a mut F,
-    control_sink: Option<&'a mut G>,
-    updates: std::iter::Peekable<std::vec::IntoIter<DictionaryUpdate>>,
-    summary: &'a mut StreamSummary,
-    /// Input-order index of the next payload (the `at` coordinate updates
-    /// are keyed on).
-    at: u64,
+/// Where a stream hands its finished batches. [`EngineStream`] and
+/// [`PipelinedStream`](crate::PipelinedStream) produce output a whole
+/// [`Batch`] at a time — committed first, on a durable engine — and a sink
+/// decides what a batch becomes: [`PayloadSinks`] expands it into
+/// per-payload and per-update calls, the flow router queues it as it is.
+pub trait BatchSink {
+    /// Whether the sink consumes the batches' dictionary updates. When
+    /// true the stream turns the backend's journal on; when false a
+    /// batch's updates are dropped before it is handed over.
+    fn wants_updates(&self) -> bool;
+
+    /// Takes one finished batch, in stream order. The sink may move the
+    /// batch's buffers out; whatever it leaves is recycled.
+    fn batch(&mut self, batch: &mut Batch);
 }
 
-impl<'a, F, G> InterleavedEmitter<'a, F, G>
+/// The per-payload face of a [`BatchSink`]: expands each batch into
+/// `sink(packet type, bytes)` calls in input order, with every dictionary
+/// update handed to `control_sink` strictly before the payload at whose
+/// position it happened, and publishes the batch's codec tag through an
+/// attached [`CodecCursor`] first. Both streams expand through this one
+/// type, which is what keeps them bit-identical to each other.
+pub struct PayloadSinks<F, G> {
+    sink: F,
+    control_sink: Option<G>,
+    codec_cursor: Option<CodecCursor>,
+}
+
+impl<F, G> BatchSink for PayloadSinks<F, G>
 where
     F: FnMut(PacketType, &[u8]),
     G: FnMut(&DictionaryUpdate),
 {
-    pub(crate) fn new(
-        updates: Vec<DictionaryUpdate>,
-        sink: &'a mut F,
-        control_sink: Option<&'a mut G>,
-        summary: &'a mut StreamSummary,
-    ) -> Self {
+    fn wants_updates(&self) -> bool {
+        self.control_sink.is_some()
+    }
+
+    fn batch(&mut self, batch: &mut Batch) {
+        if let Some(cursor) = &self.codec_cursor {
+            cursor.set(batch.codec());
+        }
+        for event in batch.events() {
+            match event {
+                BatchEvent::Update(update) => {
+                    if let Some(control_sink) = &mut self.control_sink {
+                        control_sink(update);
+                    }
+                }
+                BatchEvent::Payload(packet_type, bytes) => (self.sink)(packet_type, bytes),
+            }
+        }
+    }
+}
+
+impl<F, G> PayloadSinks<F, G> {
+    pub(crate) fn new(sink: F, control_sink: Option<G>) -> Self {
         Self {
             sink,
             control_sink,
-            updates: updates.into_iter().peekable(),
-            summary,
-            at: 0,
+            codec_cursor: None,
         }
     }
 
-    /// Emits the next payload, preceded by every update at its position.
-    pub(crate) fn payload(&mut self, packet_type: PacketType, bytes: &[u8]) {
-        if let Some(control_sink) = self.control_sink.as_mut() {
-            while self.updates.peek().is_some_and(|u| u.at <= self.at) {
-                let update = self.updates.next().expect("peeked");
-                self.summary.control_updates += 1;
-                control_sink(&update);
-            }
-        }
-        if packet_type == PacketType::Compressed {
-            self.summary.compressed_payloads += 1;
-        }
-        self.summary.payloads_emitted += 1;
-        self.summary.wire_bytes += bytes.len() as u64;
-        (self.sink)(packet_type, bytes);
-        self.at += 1;
+    pub(crate) fn set_codec_cursor(&mut self, cursor: CodecCursor) {
+        self.codec_cursor = Some(cursor);
     }
+}
 
-    /// Flushes updates positioned after the last payload. Every update's
-    /// position normally lies within the batch, so this is usually a no-op;
-    /// it keeps the delta fully drained regardless.
-    pub(crate) fn finish(mut self) {
-        if let Some(control_sink) = self.control_sink.as_mut() {
-            for update in self.updates.by_ref() {
-                self.summary.control_updates += 1;
-                control_sink(&update);
-            }
-        }
+/// Hands one finished (and, when durable, committed) batch to `sink`,
+/// with the [`StreamSummary`] accounting both streams share.
+pub(crate) fn deliver(batch: &mut Batch, sink: &mut impl BatchSink, summary: &mut StreamSummary) {
+    if !sink.wants_updates() {
+        batch.clear_updates();
     }
+    summary.payloads_emitted += batch.payload_count();
+    summary.wire_bytes += batch.wire_bytes() as u64;
+    summary.compressed_payloads += batch.compressed_payloads();
+    summary.control_updates += batch.updates().len() as u64;
+    sink.batch(batch);
 }
 
 /// Totals accumulated by an [`EngineStream`], returned by
@@ -152,22 +162,15 @@ where
     B: CompressionBackend,
 {
     engine: &'e mut CompressionEngine<B>,
-    sink: F,
-    /// Live-sync control sink, fed each dictionary update in wire order.
-    control_sink: Option<G>,
+    sinks: PayloadSinks<F, G>,
     /// Bytes pushed but not yet compressed (always shorter than a batch).
     buffer: Vec<u8>,
     /// Flush threshold in bytes (a whole number of backend units).
     batch_bytes: usize,
     summary: StreamSummary,
-    /// Recycled staging for the durable path: per-payload type + length …
-    staged_records: Vec<(PacketType, u32)>,
-    /// … and the concatenated payload bytes, committed before emission.
-    staged_wire: Vec<u8>,
-    /// When attached, publishes each batch's codec tag before its payloads
-    /// reach the sink — how a tagging (multi-codec) backend's routing
-    /// decision travels to wire encoders without changing the sink shape.
-    codec_cursor: Option<CodecCursor>,
+    /// The batch being emitted, recycled: staged whole so a durable engine
+    /// commits it before any sink sees it.
+    staged: Batch,
 }
 
 impl<'e, F: FnMut(PacketType, &[u8]), B: CompressionBackend>
@@ -205,14 +208,11 @@ where
         }
         Self {
             engine,
-            sink,
-            control_sink,
+            sinks: PayloadSinks::new(sink, control_sink),
             buffer: Vec::new(),
             batch_bytes: batch_units.max(1) * unit_bytes,
             summary: StreamSummary::default(),
-            staged_records: Vec::new(),
-            staged_wire: Vec::new(),
-            codec_cursor: None,
+            staged: Batch::default(),
         }
     }
 
@@ -221,7 +221,7 @@ where
     /// the cursor reads `Some(id)` while that batch's payloads flow to the
     /// sink; for a fixed backend it always reads `None` (untagged).
     pub fn set_codec_cursor(&mut self, cursor: CodecCursor) {
-        self.codec_cursor = Some(cursor);
+        self.sinks.set_codec_cursor(cursor);
     }
 
     /// Attaches a live-sync control sink, builder style (enables journaling
@@ -233,14 +233,15 @@ where
         self.engine.set_live_sync(true);
         EngineStream {
             engine: self.engine,
-            sink: self.sink,
-            control_sink: Some(control_sink),
+            sinks: PayloadSinks {
+                sink: self.sinks.sink,
+                control_sink: Some(control_sink),
+                codec_cursor: self.sinks.codec_cursor,
+            },
             buffer: self.buffer,
             batch_bytes: self.batch_bytes,
             summary: self.summary,
-            staged_records: self.staged_records,
-            staged_wire: self.staged_wire,
-            codec_cursor: self.codec_cursor,
+            staged: self.staged,
         }
     }
 
@@ -287,78 +288,28 @@ where
         Ok(())
     }
 
-    /// Emits one compressed batch: drains the backend's dictionary delta
-    /// (when live sync is on) and interleaves its updates with the
-    /// serialized records, each update strictly before the record at whose
-    /// position it happened. On a durable engine the whole batch is
-    /// committed to the store first — sinks only ever see committed
-    /// output.
+    /// Emits one compressed batch: stages its wire form with the backend's
+    /// dictionary delta (when live sync is on) placed among the payloads,
+    /// commits it to the store on a durable engine — sinks only ever see
+    /// committed output — and hands it to the sinks.
     fn emit_batch(&mut self, batch: B::Batch, input_len: u64) -> Result<()> {
         let Self {
             engine,
-            sink,
-            control_sink,
+            sinks,
             summary,
-            staged_records,
-            staged_wire,
-            codec_cursor,
+            staged,
             ..
         } = self;
         let (backend, store) = engine.backend_and_store_mut();
-        // Drain the journal even when no sink consumes it, so a stream
-        // without live sync on a journaling engine cannot leak stale events
-        // into a later batch's delta.
-        let updates = if backend.live_sync_enabled() {
-            backend.take_delta().updates
-        } else {
-            Vec::new()
-        };
-        // Resolve the tag before emit_batch consumes the batch by value.
-        let codec = backend
-            .tags_batches()
-            .then(|| backend.batch_codec_id(&batch));
-        if let Some(cursor) = codec_cursor.as_ref() {
-            cursor.set(codec);
-        }
+        stage_batch(backend, batch, staged)?;
         if let Some(store) = store {
-            // Commit-then-emit: stage the batch's wire form, make it
-            // durable (frames + delta + checkpoint when due + commit
-            // marker), then emit the staged copy.
-            staged_records.clear();
-            staged_wire.clear();
-            backend.emit_batch(batch, &mut |packet_type, bytes| {
-                staged_records.push((packet_type, bytes.len() as u32));
-                staged_wire.extend_from_slice(bytes);
-            })?;
             let state = store
                 .checkpoint_due()
                 .then(|| backend.export_dictionary_state())
                 .flatten();
-            store.commit_batch(
-                staged_records,
-                staged_wire,
-                codec,
-                &updates,
-                state.as_ref(),
-                input_len,
-            )?;
-            let mut emitter =
-                InterleavedEmitter::new(updates, sink, control_sink.as_mut(), summary);
-            let mut offset = 0usize;
-            for (packet_type, len) in staged_records.iter() {
-                let end = offset + *len as usize;
-                emitter.payload(*packet_type, &staged_wire[offset..end]);
-                offset = end;
-            }
-            emitter.finish();
-        } else {
-            let mut emitter =
-                InterleavedEmitter::new(updates, sink, control_sink.as_mut(), summary);
-            backend.emit_batch(batch, &mut |packet_type, bytes| {
-                emitter.payload(packet_type, bytes);
-            })?;
-            emitter.finish();
+            store.commit_batch(staged, state.as_ref(), input_len)?;
         }
+        deliver(staged, sinks, summary);
         Ok(())
     }
 
@@ -383,6 +334,34 @@ where
         }
         Ok(self.summary)
     }
+}
+
+/// Serializes one compressed batch into `staged` (recycled): its codec
+/// tag, its payloads in input order, and the backend's drained dictionary
+/// delta placed among them. The journal is drained even when nothing
+/// consumes it, so stale events never leak into a later batch's delta.
+pub(crate) fn stage_batch<B: CompressionBackend>(
+    backend: &mut B,
+    batch: B::Batch,
+    staged: &mut Batch,
+) -> zipline_gd::error::Result<()> {
+    staged.clear();
+    let updates = if backend.live_sync_enabled() {
+        backend.take_delta().updates
+    } else {
+        Vec::new()
+    };
+    // Resolve the tag before emit_batch consumes the batch by value.
+    staged.set_codec(
+        backend
+            .tags_batches()
+            .then(|| backend.batch_codec_id(&batch)),
+    );
+    backend.emit_batch(batch, &mut |packet_type, bytes| {
+        staged.push_payload(packet_type, bytes)
+    })?;
+    staged.place_updates(updates);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 //!   [`TenantStats`] surfaces per-tenant install/evict/ratio counters the
 //!   way per-shard stats do for a single engine.
 //! - The control plane is **tenant-tagged**: every emission is a
-//!   [`FlowEvent`] carrying its [`FlowKey`], and per flow the dictionary
-//!   updates interleave strictly before the payloads that need them
-//!   (exactly the single-stream live-sync invariant, preserved per flow
-//!   because each flow's sinks run on the calling thread in wire order).
+//!   [`FlowBatch`] — one flow's finished [`Batch`], whole, under its
+//!   [`FlowKey`] — and a batch carries its dictionary updates placed
+//!   strictly before the payloads that need them (exactly the
+//!   single-stream live-sync invariant, preserved per flow because each
+//!   flow's batches are queued on the calling thread in wire order).
 //! - [`FlowDecoderPool`] is the receive side: one decoder per flow keyed
 //!   the same way, so a single pool tracks many interleaved streams and
 //!   one flow's state transitions never perturb another's.
@@ -57,11 +58,12 @@ use crate::backend::CompressionBackend;
 use crate::builder::EngineBuilder;
 use crate::engine::{CompressionEngine, EngineConfig, GdBackend};
 use crate::error::EngineError;
+use crate::frame::{Batch, BatchEvent};
 use crate::persist::{CommittedEntry, SyncPolicy};
 use crate::pipelined::PipelinedStream;
-use crate::registry::{CodecCursor, CodecId, RegistryDecompressor, CODEC_GD};
+use crate::registry::{CodecId, RegistryDecompressor, CODEC_GD};
 use crate::shard::{DictionaryUpdate, UpdateOp};
-use crate::stream::StreamSummary;
+use crate::stream::{BatchSink, StreamSummary};
 use zipline_gd::error::GdError;
 use zipline_gd::packet::PacketType;
 use zipline_gd::stats::CompressionStats;
@@ -130,8 +132,8 @@ pub struct FlowRouterConfig {
     pub engine: EngineConfig,
     /// Batch size in backend units (chunks for GD) per flow.
     pub batch_units: usize,
-    /// Whether flows stream live dictionary updates (tagged
-    /// [`FlowEvent::Control`] events) ahead of the payloads needing them.
+    /// Whether flows stream live dictionary updates (inside each
+    /// [`FlowBatch`]) ahead of the payloads needing them.
     pub live_sync: bool,
     /// Pipeline depth handed to [`EngineBuilder::pipelined`] per flow.
     pub pipeline_depth: usize,
@@ -165,41 +167,17 @@ impl FlowRouterConfig {
     }
 }
 
-/// One tagged emission from the router: the multiplexed equivalent of the
-/// single-stream `(packet type, bytes)` payload sink and `DictionaryUpdate`
-/// control sink. Per flow, `Control` events are emitted strictly before
-/// the payloads that reference the installed bases (the live-sync
-/// interleaving invariant, preserved per flow).
+/// One tagged emission from the router: a finished batch of `key`'s
+/// stream, exactly as the flow's engine produced it. Per flow, batches are
+/// queued in wire order, and within a batch every dictionary update sits
+/// strictly before the payloads that reference the installed bases (the
+/// live-sync interleaving invariant, preserved per flow).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowEvent {
-    /// One wire payload of `key`'s stream.
-    Payload {
-        /// The owning flow.
-        key: FlowKey,
-        /// Payload packet type.
-        packet_type: PacketType,
-        /// The batch's codec tag for a tagging (multi-codec) backend;
-        /// `None` for a fixed backend's untagged payloads.
-        codec: Option<CodecId>,
-        /// Serialized payload bytes.
-        bytes: Vec<u8>,
-    },
-    /// One live-sync dictionary update of `key`'s stream.
-    Control {
-        /// The owning flow.
-        key: FlowKey,
-        /// The tagged update.
-        update: DictionaryUpdate,
-    },
-}
-
-impl FlowEvent {
-    /// The flow this event belongs to.
-    pub fn key(&self) -> FlowKey {
-        match self {
-            FlowEvent::Payload { key, .. } | FlowEvent::Control { key, .. } => *key,
-        }
-    }
+pub struct FlowBatch {
+    /// The owning flow.
+    pub key: FlowKey,
+    /// The batch: codec tag, payloads, interleaved updates.
+    pub batch: Batch,
 }
 
 /// The resume plan of one (re)opened flow, mirroring the single-stream
@@ -421,6 +399,45 @@ pub fn plan_resume<B: CompressionBackend>(
     }
 }
 
+/// Regroups a journal tail into batches for replay: consecutive entries
+/// share a batch until the codec tag changes or the batch holds 64 KiB of
+/// payload. The entries need not start or stop at
+/// the boundaries of the batches that were committed — a client that went
+/// away mid-batch holds a cursor inside one — because a [`Batch`] records
+/// where each update sits, so expanding the result yields `entries` again,
+/// in order, whatever their `at` fields say.
+pub fn replay_batches(entries: &[CommittedEntry]) -> Vec<Batch> {
+    let mut batches = Vec::new();
+    let mut open = Batch::default();
+    for entry in entries {
+        match entry {
+            CommittedEntry::Control(update) => open.push_update(update.clone()),
+            CommittedEntry::Frame {
+                packet_type,
+                codec,
+                bytes,
+            } => {
+                let holds_payloads = open.payload_count() > 0;
+                if holds_payloads
+                    && (open.codec() != *codec || open.wire_bytes() >= REPLAY_BATCH_BYTES)
+                {
+                    batches.push(std::mem::take(&mut open));
+                }
+                open.set_codec(*codec);
+                open.push_payload(*packet_type, bytes);
+            }
+        }
+    }
+    if !open.is_empty() {
+        batches.push(open);
+    }
+    batches
+}
+
+/// Payload bytes after which [`replay_batches`] starts another batch: a few
+/// engine batches' worth, far below any record size bound.
+const REPLAY_BATCH_BYTES: usize = 64 * 1024;
+
 /// Synthesizes `Install` updates for every live mapping, ordered by
 /// identifier. `seq`/`at` are advisory (the journal they summarize was
 /// compacted away); reseed framing marks them as such.
@@ -443,13 +460,33 @@ pub fn reseed_updates<B: CompressionBackend>(
         .collect()
 }
 
-/// The per-flow stream type: a pipelined engine whose sinks push tagged
-/// [`FlowEvent`]s into the router's shared queue.
-type FlowStream<B> =
-    PipelinedStream<Box<dyn FnMut(PacketType, &[u8])>, Box<dyn FnMut(&DictionaryUpdate)>, B>;
+/// The router's shared queue of tagged emissions.
+type FlowQueue = Rc<RefCell<VecDeque<FlowBatch>>>;
+
+/// One flow's batch sink: moves each finished batch, buffers and all, into
+/// the router's queue under the flow's key.
+struct QueueSink {
+    key: FlowKey,
+    /// Whether the flow streams its dictionary updates.
+    live: bool,
+    queue: FlowQueue,
+}
+
+impl BatchSink for QueueSink {
+    fn wants_updates(&self) -> bool {
+        self.live
+    }
+
+    fn batch(&mut self, batch: &mut Batch) {
+        self.queue.borrow_mut().push_back(FlowBatch {
+            key: self.key,
+            batch: std::mem::take(batch),
+        });
+    }
+}
 
 struct ActiveFlow<B: CompressionBackend + Send + 'static> {
-    stream: FlowStream<B>,
+    stream: PipelinedStream<QueueSink, B>,
 }
 
 /// One tenant's partition pool: a fixed open-addressed slot table (the
@@ -500,13 +537,8 @@ pub struct FlowRouter<B: CompressionBackend + Send + 'static = GdBackend> {
     tenants: BTreeMap<u64, TenantState<B>>,
     /// Tagged emissions of every flow, in emission order; per flow the
     /// order is exactly the flow's wire order.
-    events: Rc<RefCell<VecDeque<FlowEvent>>>,
+    events: FlowQueue,
 }
-
-/// Boxed payload sink handed to each flow's pipelined stream.
-type PayloadSink = Box<dyn FnMut(PacketType, &[u8])>;
-/// Boxed control sink; absent when the flow runs without live sync.
-type ControlSink = Box<dyn FnMut(&DictionaryUpdate)>;
 
 impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
     /// Creates an empty router. Fails on a zero budget or zero batch
@@ -574,34 +606,12 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
         // and the backend can.
         let live = engine.live_sync_enabled()
             || (self.config.live_sync && engine.backend().supports_live_sync());
-        let payload_events = Rc::clone(&self.events);
-        // Each flow gets its own codec cursor: the stream publishes the
-        // batch tag through it just before the sink sees the payloads, so
-        // tagging backends stamp every event and fixed backends read None.
-        let cursor = CodecCursor::new();
-        let sink_cursor = cursor.clone();
-        let sink: PayloadSink = Box::new(move |packet_type, bytes| {
-            payload_events.borrow_mut().push_back(FlowEvent::Payload {
-                key,
-                packet_type,
-                codec: sink_cursor.get(),
-                bytes: bytes.to_vec(),
-            });
-        });
-        let control_events = Rc::clone(&self.events);
-        let control: Option<ControlSink> = if live {
-            Some(Box::new(move |update: &DictionaryUpdate| {
-                control_events.borrow_mut().push_back(FlowEvent::Control {
-                    key,
-                    update: update.clone(),
-                });
-            }))
-        } else {
-            None
+        let sink = QueueSink {
+            key,
+            live,
+            queue: Rc::clone(&self.events),
         };
-        let mut stream =
-            PipelinedStream::with_control_sink(engine, self.config.batch_units, sink, control)?;
-        stream.set_codec_cursor(cursor);
+        let stream = PipelinedStream::with_batch_sink(engine, self.config.batch_units, sink)?;
 
         let slot = tenant.place(key).ok_or(FlowError::TenantSaturated {
             tenant: key.tenant,
@@ -639,7 +649,7 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
     /// Takes every tagged emission queued since the last drain, in
     /// emission order (per flow: wire order, controls strictly before the
     /// payloads that need them).
-    pub fn drain_events(&mut self) -> Vec<FlowEvent> {
+    pub fn drain_events(&mut self) -> Vec<FlowBatch> {
         self.events.borrow_mut().drain(..).collect()
     }
 
@@ -861,18 +871,19 @@ impl FlowDecoderPool {
         Ok(())
     }
 
-    /// Decodes one [`FlowEvent`] (payloads append to `out`; controls are
-    /// observed for ordering).
-    pub fn decode_event(&mut self, event: &FlowEvent, out: &mut Vec<u8>) -> Result<(), FlowError> {
-        match event {
-            FlowEvent::Payload {
-                key,
-                packet_type,
-                codec,
-                bytes,
-            } => self.decode_payload(*key, *codec, *packet_type, bytes, out),
-            FlowEvent::Control { key, update } => self.observe_control(*key, update),
+    /// Decodes one [`FlowBatch`] in wire order (payloads append to `out`;
+    /// controls are observed for ordering).
+    pub fn decode_batch(&mut self, flow: &FlowBatch, out: &mut Vec<u8>) -> Result<(), FlowError> {
+        let FlowBatch { key, batch } = flow;
+        for event in batch.events() {
+            match event {
+                BatchEvent::Update(update) => self.observe_control(*key, update)?,
+                BatchEvent::Payload(packet_type, bytes) => {
+                    self.decode_payload(*key, batch.codec(), packet_type, bytes, out)?
+                }
+            }
         }
+        Ok(())
     }
 
     /// Closes `key`'s decoder, returning its statistics (merged across
@@ -1012,9 +1023,9 @@ mod tests {
         let summaries = router.finish_all().unwrap();
         assert_eq!(summaries.len(), keys.len());
         let mut decoded: BTreeMap<FlowKey, Vec<u8>> = BTreeMap::new();
-        for event in router.drain_events() {
-            let out = decoded.entry(event.key()).or_default();
-            pool.decode_event(&event, out).unwrap();
+        for flow in router.drain_events() {
+            let out = decoded.entry(flow.key).or_default();
+            pool.decode_batch(&flow, out).unwrap();
         }
         for &key in &keys {
             assert_eq!(decoded[&key], fed[&key], "{key} mismatch");

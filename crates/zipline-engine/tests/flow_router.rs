@@ -1,7 +1,7 @@
 //! Property-test suite for the multi-tenant flow router (ISSUE 9
 //! acceptance): N flows interleaved through **one** [`FlowRouter`] produce,
-//! per flow, exactly the event stream of N **isolated** single-tenant
-//! pipelined engines — for arbitrary shard/worker/spawn shapes, batch
+//! per flow, batches that expand to exactly the event stream of N
+//! **isolated** single-tenant pipelined engines — for arbitrary shard/worker/spawn shapes, batch
 //! sizes, push slicings and churn-heavy data (the tiny 6-bit dictionary
 //! evicts constantly), with the in-band control frames preserved in
 //! strictly-before-the-data order. A [`FlowDecoderPool`] driven by the
@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use zipline_engine::{
-    DictionaryUpdate, EngineBuilder, EngineConfig, FlowDecoderPool, FlowEvent, FlowKey, FlowRouter,
-    FlowRouterConfig, PipelinedStream, SpawnPolicy,
+    BatchEvent, DictionaryUpdate, EngineBuilder, EngineConfig, FlowBatch, FlowDecoderPool, FlowKey,
+    FlowRouter, FlowRouterConfig, PipelinedStream, SpawnPolicy,
 };
 use zipline_gd::config::GdConfig;
 use zipline_gd::packet::PacketType;
@@ -75,14 +75,12 @@ fn isolated_events(config: EngineConfig, batch_units: usize, data: &[u8]) -> Vec
         .into_inner()
 }
 
-/// Strips the flow tag, asserting it matches `key`.
-fn untag(event: &FlowEvent) -> RefEvent {
-    match event {
-        FlowEvent::Control { update, .. } => RefEvent::Control(update.clone()),
-        FlowEvent::Payload {
-            packet_type, bytes, ..
-        } => RefEvent::Payload(*packet_type, bytes.clone()),
-    }
+/// Expands one tagged batch into the flow's untagged events, wire order.
+fn untag(flow: &FlowBatch) -> impl Iterator<Item = RefEvent> + '_ {
+    flow.batch.events().map(|event| match event {
+        BatchEvent::Update(update) => RefEvent::Control(update.clone()),
+        BatchEvent::Payload(packet_type, bytes) => RefEvent::Payload(packet_type, bytes.to_vec()),
+    })
 }
 
 proptest! {
@@ -123,7 +121,7 @@ proptest! {
 
         // Interleave pushes round-robin in `step`-byte slices, draining the
         // tagged emissions as they appear.
-        let mut tagged: Vec<FlowEvent> = Vec::new();
+        let mut tagged: Vec<FlowBatch> = Vec::new();
         let mut offsets = vec![0usize; datas.len()];
         loop {
             let mut pushed = false;
@@ -148,8 +146,8 @@ proptest! {
 
         // Per flow, the tagged subsequence equals the isolated reference.
         let mut per_flow: BTreeMap<FlowKey, Vec<RefEvent>> = BTreeMap::new();
-        for event in &tagged {
-            per_flow.entry(event.key()).or_default().push(untag(event));
+        for flow in &tagged {
+            per_flow.entry(flow.key).or_default().extend(untag(flow));
         }
         for (i, data) in datas.iter().enumerate() {
             let reference = isolated_events(engine, batch_units, data);
@@ -170,9 +168,9 @@ proptest! {
             pool.open(key).expect("pool open");
             restored.insert(key, Vec::new());
         }
-        for event in &tagged {
-            let out = restored.get_mut(&event.key()).expect("known flow");
-            pool.decode_event(event, out).expect("decode succeeds");
+        for flow in &tagged {
+            let out = restored.get_mut(&flow.key).expect("known flow");
+            pool.decode_batch(flow, out).expect("decode succeeds");
         }
         for (i, data) in datas.iter().enumerate() {
             prop_assert_eq!(

@@ -17,14 +17,16 @@
 //!
 //! * a bit-serial reference (any message length, any `m <= 32`) — the ground
 //!   truth every fast path is checked against;
-//! * a table-driven byte-at-a-time variant (the ablation benchmarked by
-//!   `zipline-bench`, mirroring the fact that the Tofino CRC extern consumes
-//!   whole containers per clock; requires `m >= 8`);
 //! * a slicing-by-8 **word-parallel** path ([`CrcEngine::checksum_words`])
 //!   that consumes the packed `u64` words of a [`BitVec`] directly — 64
 //!   message bits per step, valid for every `m <= 32` and any bit length.
 //!   This is what the GD data path ([`crate::hamming`], [`crate::codec`])
-//!   uses to compute Hamming syndromes.
+//!   uses to compute Hamming syndromes;
+//! * the same slicing-by-8 step over a plain byte slice
+//!   ([`CrcEngine::compute_bytes`], `m >= 8`) — the record checksum of the
+//!   socket and journal framing, and the ablation benchmarked by
+//!   `zipline-bench` (the Tofino CRC extern consumes whole containers per
+//!   clock).
 //!
 //! # Word-path conventions
 //!
@@ -97,16 +99,12 @@ impl CrcSpec {
 
 /// A CRC engine for one [`CrcSpec`].
 ///
-/// The engine pre-computes a 256-entry transition table used by the
-/// byte-oriented fast path; the bit-serial path needs no state beyond the
-/// spec itself.
+/// The engine pre-computes the slicing-by-8 tables shared by the word and
+/// byte fast paths; the bit-serial path needs no state beyond the spec
+/// itself.
 #[derive(Debug, Clone)]
 pub struct CrcEngine {
     spec: CrcSpec,
-    /// `table[v] = (v(x) * x^m) mod g(x)` for every byte value `v`.
-    ///
-    /// Used to advance the register by 8 input bits at a time when `m >= 8`.
-    table: [u64; 256],
     /// Slicing-by-8 tables: `slice_table[j][v] = (v(x) · x^{8j}) mod g(x)`.
     ///
     /// Entries `j < 8` reduce the eight bytes of one message word; entries
@@ -123,13 +121,6 @@ impl CrcEngine {
     /// Builds an engine for `spec`.
     pub fn new(spec: CrcSpec) -> Self {
         let g = spec.full_poly();
-        let mut table = [0u64; 256];
-        for (v, slot) in table.iter_mut().enumerate() {
-            // (v * x^m) mod g, computed with plain polynomial arithmetic.
-            let shifted = Gf2Poly(v as u64).mul(Gf2Poly(1u64 << spec.width));
-            *slot = shifted.rem(g).0;
-        }
-
         let register_bytes = spec.width.div_ceil(8) as usize;
         let mut slice_table = Vec::with_capacity(8 + register_bytes);
         for j in 0..8 + register_bytes {
@@ -148,7 +139,6 @@ impl CrcEngine {
 
         Self {
             spec,
-            table,
             slice_table,
             x_pow,
         }
@@ -326,25 +316,24 @@ impl CrcEngine {
     }
 
     /// Computes the CRC of a whole byte slice (message length = 8 × bytes)
-    /// using the 256-entry transition table. Requires `m >= 8`.
+    /// with the slicing-by-8 step of [`Self::checksum_words`]: eight bytes
+    /// per step as one big-endian word (the first byte holds the earliest
+    /// bits), the last `len % 8` bytes as a sub-word tail.
     ///
-    /// For `m < 8` the byte-table formulation is not well-formed in this
-    /// convention; the engine transparently falls back to the bit-serial
-    /// path.
+    /// For `m < 8` the engine falls back to the bit-serial path.
     pub fn compute_bytes(&self, bytes: &[u8]) -> u64 {
         if self.spec.width < 8 {
             return self.compute_bits_serial(&BitVec::from_bytes(bytes));
         }
-        let mask = self.spec.mask();
-        let shift = self.spec.width - 8;
         let mut reg = 0u64;
-        for &byte in bytes {
-            // new_reg = (reg * x^8 + byte) mod g
-            //         = table[high 8 bits of reg] ^ (low bits of reg << 8) ^ byte
-            let hi = (reg >> shift) & 0xFF;
-            reg = (self.table[hi as usize] ^ ((reg << 8) & mask) ^ byte as u64) & mask;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks_exact(8) yields 8 bytes");
+            reg = self.advance_word(reg, u64::from_be_bytes(word));
         }
-        reg
+        let rest = words.remainder();
+        let tail = rest.iter().fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+        self.advance_tail(reg, tail, rest.len() * 8) & self.spec.mask()
     }
 
     /// Returns `CRC(x^i) = x^i mod g` — the CRC of the one-hot bit sequence
@@ -581,19 +570,18 @@ mod tests {
     }
 
     #[test]
-    fn byte_table_matches_bit_serial_for_crc8() {
+    fn compute_bytes_matches_bit_serial_for_crc8() {
         let engine = CrcEngine::from_full_poly(Gf2Poly::from_exponents(&[8, 4, 3, 2, 0])).unwrap();
         let data: Vec<u8> = (0..=255u8).collect();
         for len in [0usize, 1, 2, 3, 31, 32, 255, 256] {
             let bytes = &data[..len];
             let serial = engine.compute_bits_serial(&BitVec::from_bytes(bytes));
-            let table = engine.compute_bytes(bytes);
-            assert_eq!(serial, table, "length {len}");
+            assert_eq!(serial, engine.compute_bytes(bytes), "length {len}");
         }
     }
 
     #[test]
-    fn byte_table_matches_bit_serial_for_crc15() {
+    fn compute_bytes_matches_bit_serial_for_crc15() {
         let engine = CrcEngine::from_full_poly(Gf2Poly::from_exponents(&[15, 1, 0])).unwrap();
         let bytes: Vec<u8> = (0..200u8)
             .map(|i| i.wrapping_mul(37).wrapping_add(11))
@@ -602,6 +590,24 @@ mod tests {
             engine.compute_bits_serial(&BitVec::from_bytes(&bytes)),
             engine.compute_bytes(&bytes)
         );
+    }
+
+    #[test]
+    fn compute_bytes_matches_bit_serial_for_every_width_and_length() {
+        let data: Vec<u8> = (0..257u32)
+            .map(|i| (i.wrapping_mul(0x9E37) >> 5) as u8)
+            .collect();
+        for width in 8..=32u32 {
+            let engine =
+                CrcEngine::from_full_poly(Gf2Poly::from_exponents(&[width, 1, 0])).unwrap();
+            for len in 0..=data.len() {
+                assert_eq!(
+                    engine.compute_bytes(&data[..len]),
+                    engine.compute_bits_serial(&BitVec::from_bytes(&data[..len])),
+                    "width {width}, length {len}"
+                );
+            }
+        }
     }
 
     #[test]

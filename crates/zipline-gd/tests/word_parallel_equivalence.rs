@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use zipline_gd::bits::BitVec;
 use zipline_gd::codec::{ChunkCodec, EncodeScratch, GdCompressor};
-use zipline_gd::crc::CrcEngine;
+use zipline_gd::crc::{CrcEngine, CrcSpec};
 use zipline_gd::hamming::HammingCode;
 use zipline_gd::{GdConfig, HammingTransform};
 
@@ -105,6 +105,24 @@ proptest! {
             engine.checksum_words(bits.words(), bits.len()),
             engine.compute_bits_serial(&bits),
             "m = {}", m
+        );
+    }
+
+    /// The slicing-by-8 byte CRC (the socket and journal record checksum)
+    /// equals the bit-serial CRC for every byte-table width, across lengths
+    /// straddling the 8-byte step and an arbitrary generator of that width.
+    #[test]
+    fn compute_bytes_equals_bit_serial_for_every_width(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=257),
+        width in 8u32..=32,
+        poly_seed in any::<u64>(),
+    ) {
+        let spec = CrcSpec::new(width, poly_seed & ((1u64 << width) - 1)).unwrap();
+        let engine = CrcEngine::new(spec);
+        prop_assert_eq!(
+            engine.compute_bytes(&bytes),
+            engine.compute_bits_serial(&BitVec::from_bytes(&bytes)),
+            "width = {}, len = {}", width, bytes.len()
         );
     }
 

@@ -7,7 +7,7 @@
 //! project-specific invariants that `rustc` and `clippy` cannot see:
 //!
 //! * **L001 no-panic-paths** — socket- and disk-facing byte handling
-//!   (`zipline-server/src`, `zipline-engine/src/persist.rs`) must not
+//!   (`zipline-server/src`, `zipline-engine/src/frame.rs` and `persist.rs`) must not
 //!   contain `.unwrap()` / `.expect()` / `panic!`-family macros / literal
 //!   slice indexing outside test code. A malformed frame must surface as a
 //!   typed error, never a crash.

@@ -6,17 +6,24 @@
 //! closing, which is exactly how a server crash looks to a client: only
 //! complete records count, the torn tail does not.
 //!
+//! The server sends one `PAYLOAD` record per compressed batch; the consumer
+//! side expands it into the batch's events — a [`ServerEvent::Payload`] per
+//! payload, each [`ServerEvent::Control`] strictly before the payload that
+//! needs it — so captures and decoders see one event per payload and per
+//! update whatever the record boundaries were.
+//!
 //! The wire carries flows only. **Classic mode** — one unnamed stream per
 //! connection — is sugar kept on this side: [`ClientSession::hello`] opens
 //! tenant 0's flow `(0, stream_id)`, [`ClientSession::send_data`] and
 //! [`ClientSession::end`] address it, and its records surface as the
 //! un-keyed [`ServerEvent`] variants.
 
+use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::mpsc::{self, Receiver};
 use std::thread::{self, JoinHandle};
 
-use zipline_engine::{CodecId, CodecRegistry, DictionaryUpdate, FlowKey};
+use zipline_engine::{BatchEvent, CodecId, CodecRegistry, DictionaryUpdate, FlowKey};
 use zipline_gd::packet::PacketType;
 
 use crate::error::{ServerError, ServerResult};
@@ -103,6 +110,9 @@ pub struct ClientSession {
     conn: Conn,
     codec: WireCodec,
     records: Receiver<Record>,
+    /// Events of the record last taken off `records` that the consumer has
+    /// not asked for yet (a batch expands to many).
+    pending: VecDeque<ServerEvent>,
     reader: Option<JoinHandle<Result<(), WireError>>>,
     /// The flow [`Self::hello`] opened; its events surface un-keyed.
     classic: Option<FlowKey>,
@@ -136,6 +146,7 @@ impl ClientSession {
             conn,
             codec: WireCodec::new(),
             records: rx,
+            pending: VecDeque::new(),
             reader: Some(reader),
             classic: None,
         })
@@ -240,41 +251,42 @@ impl ClientSession {
         self.send(&Record::End)
     }
 
-    /// One server record as the event the consumer sees: the classic flow's
-    /// records lose their key, and its `OPENED`/`FLOW_DONE` bookends are
-    /// swallowed (`None`).
-    fn event_of(&self, record: Record) -> Option<ServerEvent> {
+    /// Queues one server record as the events the consumer sees: a batch
+    /// expands into its payloads and control updates in wire order, the
+    /// classic flow's records lose their key, and its `OPENED`/`FLOW_DONE`
+    /// bookends are swallowed.
+    fn expand(&mut self, record: Record) {
         let classic = |key| self.classic == Some(key);
-        Some(match record {
+        let event = match record {
             Record::ServerHello(hello) => ServerEvent::Hello(hello),
-            Record::Opened { key, .. } | Record::FlowDone { key, .. } if classic(key) => {
-                return None
-            }
+            Record::Opened { key, .. } | Record::FlowDone { key, .. } if classic(key) => return,
             Record::Opened { key, resume } => ServerEvent::FlowOpened { key, resume },
             Record::FlowDone { key, summary } => ServerEvent::FlowDone { key, summary },
-            Record::Payload {
-                key,
-                packet_type,
-                codec,
-                bytes,
-            } if classic(key) => ServerEvent::Payload {
-                packet_type,
-                codec,
-                bytes,
-            },
-            Record::Payload {
-                key,
-                packet_type,
-                codec,
-                bytes,
-            } => ServerEvent::FlowPayload {
-                key,
-                packet_type,
-                codec,
-                bytes,
-            },
-            Record::Control { key, update } if classic(key) => ServerEvent::Control(update),
-            Record::Control { key, update } => ServerEvent::FlowControl { key, update },
+            Record::Payload { key, batch } => {
+                let (classic, codec) = (classic(key), batch.codec());
+                self.pending
+                    .extend(batch.events().map(|event| match (event, classic) {
+                        (BatchEvent::Update(update), true) => ServerEvent::Control(update.clone()),
+                        (BatchEvent::Update(update), false) => ServerEvent::FlowControl {
+                            key,
+                            update: update.clone(),
+                        },
+                        (BatchEvent::Payload(packet_type, bytes), true) => ServerEvent::Payload {
+                            packet_type,
+                            codec,
+                            bytes: bytes.to_vec(),
+                        },
+                        (BatchEvent::Payload(packet_type, bytes), false) => {
+                            ServerEvent::FlowPayload {
+                                key,
+                                packet_type,
+                                codec,
+                                bytes: bytes.to_vec(),
+                            }
+                        }
+                    }));
+                return;
+            }
             Record::Reseed { key, update } if classic(key) => ServerEvent::Reseed(update),
             Record::Reseed { key, update } => ServerEvent::FlowReseed { key, update },
             Record::Done(done) => ServerEvent::Done(done),
@@ -283,27 +295,30 @@ impl ClientSession {
                 "server sent a client-side record: {}",
                 other.kind_name()
             )),
-        })
+        };
+        self.pending.push_back(event);
     }
 
     /// Blocks for the next server event; `None` means the connection closed
     /// (only complete records were delivered).
     pub fn next_event(&mut self) -> Option<ServerEvent> {
         loop {
-            let record = self.records.recv().ok()?;
-            if let Some(event) = self.event_of(record) {
+            if let Some(event) = self.pending.pop_front() {
                 return Some(event);
             }
+            let record = self.records.recv().ok()?;
+            self.expand(record);
         }
     }
 
     /// Non-blocking poll for a server event.
     pub fn try_event(&mut self) -> Option<ServerEvent> {
         loop {
-            let record = self.records.try_recv().ok()?;
-            if let Some(event) = self.event_of(record) {
+            if let Some(event) = self.pending.pop_front() {
                 return Some(event);
             }
+            let record = self.records.try_recv().ok()?;
+            self.expand(record);
         }
     }
 

@@ -13,14 +13,18 @@
 //! Both directions speak length-prefixed, CRC-tagged records — the exact
 //! record discipline of the durable store's on-disk logs (`len:u32le ·
 //! kind:u8+body · crc32`, CRC-32 polynomial `0x04C1_1DB7` over the
-//! payload). There is one session shape (wire v4): `CLIENT_HELLO` (codec
+//! payload). There is one session shape (wire v5): `CLIENT_HELLO` (codec
 //! set) → `SERVER_HELLO`, then any number of interleaved **flows**, each
 //! `OPEN` (flow key + replay cursor) → `OPENED` (resume offset +
 //! replay/reseed counts) → replayed journal entries (after a crash) →
 //! `DATA`* → `END_FLOW` → `FLOW_DONE`, and finally `END` → `DONE`. Every
-//! flow-scoped record carries its [`FlowKey`] and every payload the id of
-//! the codec that compressed it (0 = the flow's fixed backend). Full field
-//! layouts live in [`wire`]; the state machine is [`session::Session`].
+//! flow-scoped record carries its [`FlowKey`]. Compressed output comes back
+//! one `PAYLOAD` record per engine batch: the batch's payloads, the
+//! dictionary updates placed among them, and the id of the codec that
+//! compressed it (0 = the flow's fixed backend), under one CRC —
+//! [`ClientSession`] expands it into one [`ServerEvent`] per payload and
+//! per update. Full field layouts live in [`wire`]; the state machine is
+//! [`session::Session`].
 //!
 //! # Flows and the classic single stream
 //!

@@ -15,9 +15,15 @@
 //!    configured) and answers `OPENED` with the flow's resume plan,
 //!    followed by the journal replay past the client's cursor or, for a
 //!    compacted journal, synthesized `RESEED` installs. `DATA` feeds the
-//!    flow; its payloads and control updates come back keyed, controls
-//!    strictly before the payloads that need them. `END_FLOW` drains,
-//!    commits and answers `FLOW_DONE`.
+//!    flow; whenever it completes an engine batch, the batch comes back as
+//!    one keyed `PAYLOAD` record — its payloads, with its control updates
+//!    placed strictly before the payloads that need them — framed by one
+//!    encode call. `END_FLOW` drains, commits and answers `FLOW_DONE`.
+//!
+//! On a durable flow a batch reaches the socket only after it is committed
+//! (batch record → shard delta → shard flush → commit → frame flush, see
+//! `zipline_engine::persist`), and the record's body is the journal's,
+//! byte for byte.
 //! 3. `END` — or [`Session::stop`], the graceful-shutdown equivalent —
 //!    finishes the flows still open in sorted key order and answers with
 //!    the session totals in `DONE`.
@@ -34,8 +40,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use zipline::host::HostPathConfig;
-use zipline_engine::tenant::{FlowError, FlowEvent, FlowKey, FlowRouter, FlowRouterConfig};
-use zipline_engine::{CommittedEntry, CompressionBackend, EngineError, StreamSummary};
+use zipline_engine::tenant::{
+    replay_batches, FlowBatch, FlowError, FlowKey, FlowRouter, FlowRouterConfig,
+};
+use zipline_engine::{Batch, CompressionBackend, EngineError, StreamSummary};
 
 use crate::error::{ServerError, ServerResult};
 use crate::wire::{ClientHello, DoneSummary, Record, ResumeSummary, ServerHello, WireCodec};
@@ -51,9 +59,10 @@ pub struct StatsSnapshot {
     pub records_in: u64,
     /// `DATA` bytes consumed.
     pub bytes_in: u64,
-    /// Payload records emitted (replay included).
+    /// Payloads emitted (replay included), however many records carried
+    /// them.
     pub payloads_out: u64,
-    /// Control + reseed records emitted (replay included).
+    /// Control updates + reseed installs emitted (replay included).
     pub controls_out: u64,
     /// Framed bytes put on sockets.
     pub bytes_out: u64,
@@ -292,22 +301,8 @@ impl<B: CompressionBackend + Send + 'static> Session<B> {
         };
         self.codec.encode_into(&opened, out);
         bump(&self.registry.replayed_entries, resume.replay.len() as u64);
-        for entry in &resume.replay {
-            match entry {
-                CommittedEntry::Frame {
-                    packet_type,
-                    codec,
-                    bytes,
-                } => {
-                    bump(&self.registry.payloads_out, 1);
-                    self.codec
-                        .encode_payload_into(key, *codec, *packet_type, bytes, out);
-                }
-                CommittedEntry::Control(update) => {
-                    bump(&self.registry.controls_out, 1);
-                    self.codec.encode_control_into(key, update, out);
-                }
-            }
+        for batch in replay_batches(&resume.replay) {
+            self.frame_batch(key, &batch, out);
         }
         bump(&self.registry.controls_out, resume.reseed.len() as u64);
         for update in resume.reseed {
@@ -316,27 +311,18 @@ impl<B: CompressionBackend + Send + 'static> Session<B> {
         Ok(())
     }
 
-    /// Frames every emission the router queued since the last call, in
-    /// emission order (per flow: controls strictly before the payloads
-    /// that need them).
+    /// Frames one batch as one `PAYLOAD` record, counting what it carries.
+    fn frame_batch(&mut self, key: FlowKey, batch: &Batch, out: &mut Vec<u8>) {
+        bump(&self.registry.payloads_out, batch.payload_count());
+        bump(&self.registry.controls_out, batch.updates().len() as u64);
+        self.codec.encode_payload_into(key, batch, out);
+    }
+
+    /// Frames every batch the router queued since the last call, in
+    /// emission order (per flow: wire order).
     fn frame_events(&mut self, out: &mut Vec<u8>) {
-        for event in self.router.drain_events() {
-            match &event {
-                FlowEvent::Payload {
-                    key,
-                    packet_type,
-                    codec,
-                    bytes,
-                } => {
-                    bump(&self.registry.payloads_out, 1);
-                    self.codec
-                        .encode_payload_into(*key, *codec, *packet_type, bytes, out);
-                }
-                FlowEvent::Control { key, update } => {
-                    bump(&self.registry.controls_out, 1);
-                    self.codec.encode_control_into(*key, update, out);
-                }
-            }
+        for FlowBatch { key, batch } in self.router.drain_events() {
+            self.frame_batch(key, &batch, out);
         }
     }
 

@@ -1,7 +1,7 @@
-//! Framed wire protocol for the ZipLine ingest server (wire **v4**).
+//! Framed wire protocol for the ZipLine ingest server (wire **v5**).
 //!
-//! The framing reuses the record discipline of the durable store
-//! (`zipline-engine`'s `persist.rs`): every record on the socket is
+//! The framing is the record discipline of `zipline_engine::frame`, the
+//! one the durable store's logs use: every record on the socket is
 //!
 //! ```text
 //! record  := len:u32le payload crc:u32le
@@ -40,37 +40,40 @@
 //! |--------|---------------------------------------------------------------|
 //! | `0x51` | [`ServerHello`] — magic `ZLRS`, version, codec set            |
 //! | `0x52` | `Opened` — key + [`ResumeSummary`] (answers `Open`)           |
-//! | `0x53` | `Payload` — key, codec byte, packet type, payload bytes       |
-//! | `0x54` | `Control` — key + one committed dictionary update (live sync) |
+//! | `0x53` | `Payload` — key + one compressed [`Batch`]: codec byte, dictionary updates, payload runs, payload bytes |
 //! | `0x55` | `Error` — typed failure, connection closes after              |
 //! | `0x56` | `Reseed` — key + synthesized install for a compacted journal (advisory; not part of the replay cursor) |
 //! | `0x57` | `FlowDone` — key + [`DoneSummary`]; closes the flow's journal epoch |
 //! | `0x58` | `Done` — session totals; last record of a clean session       |
 //!
-//! Per flow, controls reach the socket strictly before the payloads that
-//! need them. A payload's codec byte is the [`CodecId`] that compressed its
-//! batch (stamped by a routing backend such as `AutoBackend`), or `0` —
-//! the container format's "untagged" sentinel — meaning *the flow's fixed
-//! backend*. A non-zero byte no registry entry covers is the typed
+//! The batch is the record: a `Payload` carries everything one engine
+//! batch emitted — the body layout is `zipline_engine::frame`'s, byte for
+//! byte what the store journals — under one CRC. Its dictionary updates
+//! ride inside it, each placed strictly before the payload that needs it,
+//! so there is no separate control record; a receiver expands the batch
+//! ([`Batch::events`]) into the per-payload, per-update sequence. The
+//! batch's codec byte is the [`CodecId`] that
+//! compressed it (stamped by a routing backend such as `AutoBackend`), or
+//! `0` — the container format's "untagged" sentinel — meaning *the flow's
+//! fixed backend*. A non-zero byte no registry entry covers is the typed
 //! [`WireError::UnknownCodec`].
 //!
 //! There is exactly one version. A hello of any other version fails to
 //! decode with [`WireError::UnsupportedVersion`], which the server answers
 //! with a typed `ERROR` record naming the version it speaks.
-//!
-//! The body encodings for dictionary updates mirror the store's
-//! `put_update`/`read_update` byte-for-byte so a journal replay is a straight
-//! re-framing of [`zipline_engine::CommittedEntry`] values, no re-encoding.
 
 use std::fmt;
 use std::io::{self, Read};
 
-use zipline_engine::{codec_from_u8, CodecId, DictionaryUpdate, FlowKey, UpdateOp};
-use zipline_gd::packet::PacketType;
-use zipline_gd::{BitVec, CrcEngine, CrcSpec};
+use zipline_engine::frame::{
+    put_u16, put_u64, put_update, put_varint, record_crc, scan_record, write_record, BodyReader,
+    FrameError, Scanned,
+};
+use zipline_engine::{Batch, CodecId, DictionaryUpdate, FlowKey};
+use zipline_gd::CrcEngine;
 
 /// The one wire protocol version this crate speaks.
-pub const WIRE_VERSION: u16 = 4;
+pub const WIRE_VERSION: u16 = 5;
 
 /// Upper bound on a single record's payload bytes; anything larger is
 /// rejected before buffering (a 4-byte length field must not become a
@@ -94,7 +97,6 @@ const KIND_END: u8 = 0x45;
 const KIND_SERVER_HELLO: u8 = 0x51;
 const KIND_OPENED: u8 = 0x52;
 const KIND_PAYLOAD: u8 = 0x53;
-const KIND_CONTROL: u8 = 0x54;
 const KIND_ERROR: u8 = 0x55;
 const KIND_RESEED: u8 = 0x56;
 const KIND_FLOW_DONE: u8 = 0x57;
@@ -155,6 +157,16 @@ impl std::error::Error for WireError {
     }
 }
 
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::UnknownCodec(id) => WireError::UnknownCodec(id),
+            FrameError::Malformed(what) => WireError::Malformed(what),
+            other => WireError::Malformed(other.to_string()),
+        }
+    }
+}
+
 /// First record on every connection, client → server.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClientHello {
@@ -179,7 +191,8 @@ pub struct ResumeSummary {
     /// Input byte offset the client must resume feeding from after the
     /// replayed records (always a commit-boundary, i.e. a batch multiple).
     pub resume_bytes_in: u64,
-    /// Committed records about to be replayed from the journal.
+    /// Committed journal entries (payloads + control updates) about to be
+    /// replayed, however many records carry them.
     pub replay_entries: u64,
     /// Synthesized `Reseed` installs about to follow (compacted journal).
     pub reseed_entries: u64,
@@ -212,7 +225,7 @@ pub enum Record {
     /// `0x41`: connection opener, client → server.
     ClientHello(ClientHello),
     /// `0x42`: opens one flow; `entries_held` is the flow's replay cursor —
-    /// payload + control records the client already holds from the flow's
+    /// payloads + control updates the client already holds from the flow's
     /// current journal epoch.
     Open {
         /// The flow being opened.
@@ -243,24 +256,13 @@ pub enum Record {
         /// What follows and where input resumes.
         resume: ResumeSummary,
     },
-    /// `0x53`: one compressed/uncompressed/raw wire payload of one flow.
+    /// `0x53`: one compressed batch of one flow — its payloads, the
+    /// dictionary updates interleaved with them, its codec tag.
     Payload {
         /// The owning flow.
         key: FlowKey,
-        /// ZipLine packet type of the payload.
-        packet_type: PacketType,
-        /// Per-batch codec tag; `None` (wire byte 0) means the flow's
-        /// fixed backend.
-        codec: Option<CodecId>,
-        /// Payload bytes exactly as the backend emitted them.
-        bytes: Vec<u8>,
-    },
-    /// `0x54`: one committed dictionary update of one flow (live sync).
-    Control {
-        /// The owning flow.
-        key: FlowKey,
-        /// The update.
-        update: DictionaryUpdate,
+        /// The batch, exactly as the flow's engine emitted it.
+        batch: Batch,
     },
     /// `0x56`: synthesized install of one flow (compacted journal).
     Reseed {
@@ -294,7 +296,6 @@ impl Record {
             Record::ServerHello(_) => "SERVER_HELLO",
             Record::Opened { .. } => "OPENED",
             Record::Payload { .. } => "PAYLOAD",
-            Record::Control { .. } => "CONTROL",
             Record::Reseed { .. } => "RESEED",
             Record::FlowDone { .. } => "FLOW_DONE",
             Record::Done(_) => "DONE",
@@ -303,62 +304,18 @@ impl Record {
     }
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bitvec(buf: &mut Vec<u8>, bits: &BitVec) {
-    put_u32(buf, bits.len() as u32);
-    buf.extend_from_slice(&bits.to_bytes());
-}
-
-/// Unsigned LEB128: seven value bits per byte, low group first, the high
-/// bit set on every byte but the last.
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-/// Starts a flow-scoped body: the kind byte, then the key.
-fn put_keyed(buf: &mut Vec<u8>, kind: u8, key: FlowKey) {
-    buf.push(kind);
+fn put_key(buf: &mut Vec<u8>, key: FlowKey) {
     put_varint(buf, key.tenant);
     put_varint(buf, key.flow);
 }
 
-/// A whole hello body: kind, magic, version, then the codec set.
-fn put_hello(buf: &mut Vec<u8>, kind: u8, magic: [u8; 4], codecs: &[CodecId]) {
+/// A whole hello body: magic, version, then the codec set.
+fn put_hello(buf: &mut Vec<u8>, magic: [u8; 4], codecs: &[CodecId]) {
     debug_assert!(codecs.len() <= u8::MAX as usize, "codec set too large");
-    buf.push(kind);
     buf.extend_from_slice(&magic);
     put_u16(buf, WIRE_VERSION);
     buf.push(codecs.len() as u8);
     buf.extend(codecs.iter().map(|id| id.as_u8()));
-}
-
-fn put_payload(
-    buf: &mut Vec<u8>,
-    key: FlowKey,
-    codec: Option<CodecId>,
-    packet_type: PacketType,
-    bytes: &[u8],
-) {
-    put_keyed(buf, KIND_PAYLOAD, key);
-    buf.push(codec.map_or(0, CodecId::as_u8));
-    buf.push(packet_type.number());
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
 }
 
 fn put_done(buf: &mut Vec<u8>, done: &DoneSummary) {
@@ -368,122 +325,6 @@ fn put_done(buf: &mut Vec<u8>, done: &DoneSummary) {
     put_u64(buf, done.compressed_payloads);
     put_u64(buf, done.control_updates);
     buf.push(u8::from(done.server_initiated));
-}
-
-/// Serializes a dictionary update exactly like the store's `put_update`.
-pub(crate) fn put_update(buf: &mut Vec<u8>, update: &DictionaryUpdate) {
-    put_u64(buf, update.seq);
-    put_u64(buf, update.at);
-    match &update.op {
-        UpdateOp::Install { id, basis } => {
-            buf.push(0);
-            put_u64(buf, *id);
-            put_bitvec(buf, basis);
-        }
-        UpdateOp::Remove { id } => {
-            buf.push(1);
-            put_u64(buf, *id);
-        }
-    }
-}
-
-/// Bounded reader over one record body; every shortfall is a loud
-/// [`WireError::Malformed`] naming the record being parsed.
-struct BodyReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    what: &'static str,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(data: &'a [u8], what: &'static str) -> Self {
-        Self { data, pos: 0, what }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.data.len());
-        let Some(end) = end else {
-            return Err(WireError::Malformed(format!(
-                "{}: body shorter than declared",
-                self.what
-            )));
-        };
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Takes exactly `N` bytes as a fixed-size array. The length always
-    /// matches because `take` returned exactly `N` bytes, so the slice
-    /// pattern is irrefutable — no fallible conversion anywhere.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.take(N)?);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.array()?;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    /// Unsigned LEB128, bounded: at most ten bytes, and the tenth may only
-    /// carry the one bit a `u64` has left.
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut value = 0u64;
-        for shift in (0..64).step_by(7) {
-            let byte = self.u8()?;
-            let group = u64::from(byte & 0x7F);
-            if shift == 63 && group > 1 {
-                break;
-            }
-            value |= group << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-        }
-        Err(WireError::Malformed(format!(
-            "{}: varint overflows 64 bits",
-            self.what
-        )))
-    }
-
-    fn bitvec(&mut self) -> Result<BitVec, WireError> {
-        let bit_len = self.u32()? as usize;
-        let bytes = self.take(bit_len.div_ceil(8))?;
-        let mut bits = BitVec::from_bytes(bytes);
-        bits.truncate(bit_len);
-        Ok(bits)
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let slice = &self.data[self.pos..];
-        self.pos = self.data.len();
-        slice
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.data.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{}: trailing bytes in body",
-                self.what
-            )))
-        }
-    }
 }
 
 fn read_flow_key(r: &mut BodyReader<'_>) -> Result<FlowKey, WireError> {
@@ -528,61 +369,9 @@ fn read_done(r: &mut BodyReader<'_>) -> Result<DoneSummary, WireError> {
     })
 }
 
-/// The shared body of `Control` and `Reseed`: key, then one update.
-fn read_keyed_update(
-    body: &[u8],
-    what: &'static str,
-) -> Result<(FlowKey, DictionaryUpdate), WireError> {
-    let mut r = BodyReader::new(body, what);
-    let key = read_flow_key(&mut r)?;
-    let update = read_update(&mut r)?;
-    r.finish()?;
-    Ok((key, update))
-}
-
-fn read_update(r: &mut BodyReader<'_>) -> Result<DictionaryUpdate, WireError> {
-    let seq = r.u64()?;
-    let at = r.u64()?;
-    let op = match r.u8()? {
-        0 => UpdateOp::Install {
-            id: r.u64()?,
-            basis: r.bitvec()?,
-        },
-        1 => UpdateOp::Remove { id: r.u64()? },
-        other => {
-            return Err(WireError::Malformed(format!(
-                "{}: unknown update op {other}",
-                r.what
-            )))
-        }
-    };
-    Ok(DictionaryUpdate { seq, at, op })
-}
-
-/// Little-endian `u32` starting at byte `at`; `None` when `buf` is too
-/// short — length checks and extraction in one step, no indexing.
-fn read_le_u32(buf: &[u8], at: usize) -> Option<u32> {
-    let end = at.checked_add(4)?;
-    let bytes: [u8; 4] = buf.get(at..end)?.try_into().ok()?;
-    Some(u32::from_le_bytes(bytes))
-}
-
-fn packet_type_from(code: u8) -> Result<PacketType, WireError> {
-    match code {
-        1 => Ok(PacketType::Raw),
-        2 => Ok(PacketType::Uncompressed),
-        3 => Ok(PacketType::Compressed),
-        other => Err(WireError::Malformed(format!("unknown packet type {other}"))),
-    }
-}
-
 /// Stateless encoder/decoder for wire [`Record`]s.
-///
-/// Holds the CRC engine and a scratch buffer so framing does not allocate
-/// per record beyond the payload itself.
 pub struct WireCodec {
     crc: CrcEngine,
-    scratch: Vec<u8>,
 }
 
 impl Default for WireCodec {
@@ -594,65 +383,51 @@ impl Default for WireCodec {
 impl WireCodec {
     /// Creates a codec (CRC-32, polynomial `0x04C1_1DB7`).
     pub fn new() -> Self {
-        Self {
-            // zipline-lint: allow(L001): CRC-32 spec parameters are compile-time constants; construction cannot fail
-            crc: CrcEngine::new(CrcSpec::new(32, 0x04C1_1DB7).expect("CRC-32 spec is valid")),
-            scratch: Vec::new(),
-        }
+        Self { crc: record_crc() }
+    }
+
+    /// Appends one sealed record whose body starts with `key`.
+    fn keyed(&self, out: &mut Vec<u8>, kind: u8, key: FlowKey, rest: impl FnOnce(&mut Vec<u8>)) {
+        write_record(&self.crc, out, kind, |body| {
+            put_key(body, key);
+            rest(body);
+        });
     }
 
     /// Appends the framed encoding of `record` to `out`.
     pub fn encode_into(&mut self, record: &Record, out: &mut Vec<u8>) {
-        self.scratch.clear();
-        let body = &mut self.scratch;
+        let crc = &self.crc;
         match record {
-            Record::ClientHello(h) => put_hello(body, KIND_CLIENT_HELLO, REQUEST_MAGIC, &h.codecs),
+            Record::ClientHello(h) => write_record(crc, out, KIND_CLIENT_HELLO, |body| {
+                put_hello(body, REQUEST_MAGIC, &h.codecs)
+            }),
             Record::Open { key, entries_held } => {
-                put_keyed(body, KIND_OPEN, *key);
-                put_u64(body, *entries_held);
+                self.keyed(out, KIND_OPEN, *key, |body| put_u64(body, *entries_held))
             }
-            Record::Data { key, bytes } => {
-                put_keyed(body, KIND_DATA, *key);
-                body.extend_from_slice(bytes);
-            }
-            Record::EndFlow { key } => put_keyed(body, KIND_END_FLOW, *key),
-            Record::End => body.push(KIND_END),
-            Record::ServerHello(h) => put_hello(body, KIND_SERVER_HELLO, RESPONSE_MAGIC, &h.codecs),
-            Record::Opened { key, resume } => {
-                put_keyed(body, KIND_OPENED, *key);
+            Record::Data { key, bytes } => self.encode_flow_data_into(*key, bytes, out),
+            Record::EndFlow { key } => self.keyed(out, KIND_END_FLOW, *key, |_| {}),
+            Record::End => write_record(crc, out, KIND_END, |_| {}),
+            Record::ServerHello(h) => write_record(crc, out, KIND_SERVER_HELLO, |body| {
+                put_hello(body, RESPONSE_MAGIC, &h.codecs)
+            }),
+            Record::Opened { key, resume } => self.keyed(out, KIND_OPENED, *key, |body| {
                 put_u64(body, resume.resume_bytes_in);
                 put_u64(body, resume.replay_entries);
                 put_u64(body, resume.reseed_entries);
                 body.push(u8::from(resume.warm));
-            }
-            Record::Payload {
-                key,
-                packet_type,
-                codec,
-                bytes,
-            } => put_payload(body, *key, *codec, *packet_type, bytes),
-            Record::Control { key, update } => {
-                put_keyed(body, KIND_CONTROL, *key);
-                put_update(body, update);
-            }
+            }),
+            Record::Payload { key, batch } => self.encode_payload_into(*key, batch, out),
             Record::Reseed { key, update } => {
-                put_keyed(body, KIND_RESEED, *key);
-                put_update(body, update);
+                self.keyed(out, KIND_RESEED, *key, |body| put_update(body, update))
             }
             Record::FlowDone { key, summary } => {
-                put_keyed(body, KIND_FLOW_DONE, *key);
-                put_done(body, summary);
+                self.keyed(out, KIND_FLOW_DONE, *key, |body| put_done(body, summary))
             }
-            Record::Done(done) => {
-                body.push(KIND_DONE);
-                put_done(body, done);
-            }
-            Record::Error(message) => {
-                body.push(KIND_ERROR);
-                body.extend_from_slice(message.as_bytes());
-            }
+            Record::Done(done) => write_record(crc, out, KIND_DONE, |body| put_done(body, done)),
+            Record::Error(message) => write_record(crc, out, KIND_ERROR, |body| {
+                body.extend_from_slice(message.as_bytes())
+            }),
         }
-        self.seal_into(out);
     }
 
     /// Frames `record` into a fresh buffer.
@@ -662,62 +437,27 @@ impl WireCodec {
         out
     }
 
-    /// Appends a framed `Payload` record straight from a borrowed byte slice
-    /// (the server's hot path — no intermediate `Record::Payload` copy).
-    pub fn encode_payload_into(
-        &mut self,
-        key: FlowKey,
-        codec: Option<CodecId>,
-        packet_type: PacketType,
-        bytes: &[u8],
-        out: &mut Vec<u8>,
-    ) {
-        self.scratch.clear();
-        put_payload(&mut self.scratch, key, codec, packet_type, bytes);
-        self.seal_into(out);
+    /// Appends a framed `Payload` record straight from a borrowed batch
+    /// (the server's hot path: one call, one CRC, per engine batch).
+    pub fn encode_payload_into(&self, key: FlowKey, batch: &Batch, out: &mut Vec<u8>) {
+        self.keyed(out, KIND_PAYLOAD, key, |body| batch.encode_into(body));
     }
 
-    /// Appends a framed `Control` record straight from a borrowed update.
-    pub fn encode_control_into(
-        &mut self,
-        key: FlowKey,
-        update: &DictionaryUpdate,
-        out: &mut Vec<u8>,
-    ) {
-        self.scratch.clear();
-        put_keyed(&mut self.scratch, KIND_CONTROL, key);
-        put_update(&mut self.scratch, update);
-        self.seal_into(out);
+    fn encode_flow_data_into(&self, key: FlowKey, bytes: &[u8], out: &mut Vec<u8>) {
+        self.keyed(out, KIND_DATA, key, |body| body.extend_from_slice(bytes));
     }
 
     /// Frames a `Data` record for `key` straight from a borrowed byte slice
     /// (the client's hot path).
     pub fn encode_flow_data(&mut self, key: FlowKey, bytes: &[u8]) -> Vec<u8> {
-        self.scratch.clear();
-        put_keyed(&mut self.scratch, KIND_DATA, key);
-        self.scratch.extend_from_slice(bytes);
-        self.seal()
+        let mut out = Vec::with_capacity(bytes.len() + 32);
+        self.encode_flow_data_into(key, bytes, &mut out);
+        out
     }
 
     /// [`Self::encode_flow_data`] for the unnamed flow `(0, 0)`.
     pub fn encode_data(&mut self, bytes: &[u8]) -> Vec<u8> {
         self.encode_flow_data(UNNAMED_FLOW, bytes)
-    }
-
-    /// Frames whatever `scratch` currently holds as one record.
-    fn seal(&mut self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.scratch.len() + 8);
-        self.seal_into(&mut out);
-        out
-    }
-
-    fn seal_into(&self, out: &mut Vec<u8>) {
-        let body = &self.scratch;
-        debug_assert!(!body.is_empty() && body.len() <= MAX_WIRE_RECORD_BYTES);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(body);
-        let crc = self.crc.compute_bytes(body) as u32;
-        out.extend_from_slice(&crc.to_le_bytes());
     }
 
     /// Attempts to decode one record from the front of `buf`.
@@ -727,33 +467,15 @@ impl WireCodec {
     /// [`WireError`] for anything that can never become a valid record no
     /// matter how many bytes follow.
     pub fn decode(&self, buf: &[u8]) -> Result<Option<(Record, usize)>, WireError> {
-        let Some(len) = read_le_u32(buf, 0) else {
-            return Ok(None);
-        };
-        let len = len as usize;
-        if len == 0 || len > MAX_WIRE_RECORD_BYTES {
-            return Err(WireError::OversizedRecord(len));
+        match scan_record(&self.crc, buf, MAX_WIRE_RECORD_BYTES) {
+            Scanned::Incomplete => Ok(None),
+            Scanned::BadLength(len) => Err(WireError::OversizedRecord(len)),
+            Scanned::BadCrc => Err(WireError::BadCrc),
+            Scanned::Record { kind, body, len } => Ok(Some((Self::parse(kind, body)?, len))),
         }
-        let total = 4 + len + 4;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let payload = &buf[4..4 + len];
-        let Some(stored) = read_le_u32(buf, 4 + len) else {
-            return Ok(None);
-        };
-        let computed = self.crc.compute_bytes(payload) as u32;
-        if stored != computed {
-            return Err(WireError::BadCrc);
-        }
-        let record = Self::parse_payload(payload)?;
-        Ok(Some((record, total)))
     }
 
-    fn parse_payload(payload: &[u8]) -> Result<Record, WireError> {
-        let Some((&kind, body)) = payload.split_first() else {
-            return Err(WireError::Malformed("empty payload".to_string()));
-        };
+    fn parse(kind: u8, body: &[u8]) -> Result<Record, WireError> {
         match kind {
             KIND_CLIENT_HELLO => Ok(Record::ClientHello(ClientHello {
                 codecs: read_hello(body, "CLIENT_HELLO", REQUEST_MAGIC)?,
@@ -799,27 +521,14 @@ impl WireCodec {
             KIND_PAYLOAD => {
                 let mut r = BodyReader::new(body, "PAYLOAD");
                 let key = read_flow_key(&mut r)?;
-                let codec = match r.u8()? {
-                    0 => None,
-                    raw => Some(codec_from_u8(raw).ok_or(WireError::UnknownCodec(raw))?),
-                };
-                let packet_type = packet_type_from(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
-                r.finish()?;
-                Ok(Record::Payload {
-                    key,
-                    packet_type,
-                    codec,
-                    bytes,
-                })
-            }
-            KIND_CONTROL => {
-                let (key, update) = read_keyed_update(body, "CONTROL")?;
-                Ok(Record::Control { key, update })
+                let batch = Batch::decode(r)?;
+                Ok(Record::Payload { key, batch })
             }
             KIND_RESEED => {
-                let (key, update) = read_keyed_update(body, "RESEED")?;
+                let mut r = BodyReader::new(body, "RESEED");
+                let key = read_flow_key(&mut r)?;
+                let update = r.update()?;
+                r.finish()?;
                 Ok(Record::Reseed { key, update })
             }
             KIND_FLOW_DONE => {
@@ -912,6 +621,41 @@ impl<R: Read> RecordReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zipline_engine::UpdateOp;
+    use zipline_gd::packet::PacketType;
+    use zipline_gd::BitVec;
+
+    fn install(seq: u64, at: u64) -> DictionaryUpdate {
+        DictionaryUpdate {
+            seq,
+            at,
+            op: UpdateOp::Install {
+                id: seq % 7,
+                basis: BitVec::from_bytes(&[seq as u8; 8]),
+            },
+        }
+    }
+
+    /// A batch of `payloads` payloads in a few shapes, an update ahead of
+    /// every 16th.
+    fn sample_batch(codec: Option<CodecId>, payloads: usize) -> Batch {
+        let mut batch = Batch::default();
+        batch.set_codec(codec);
+        for i in 0..payloads {
+            let fill = [i as u8; 35];
+            match i % 5 {
+                0 => batch.push_payload(PacketType::Uncompressed, &fill),
+                _ => batch.push_payload(PacketType::Compressed, &fill[..4]),
+            }
+        }
+        batch.place_updates(
+            (0..payloads)
+                .step_by(16)
+                .map(|at| install(at as u64, at as u64))
+                .collect(),
+        );
+        batch
+    }
 
     fn sample_key() -> FlowKey {
         FlowKey {
@@ -953,26 +697,13 @@ mod tests {
             },
             Record::Payload {
                 key: sample_key(),
-                packet_type: PacketType::Uncompressed,
-                codec: None,
-                bytes: vec![6, 7, 8],
+                batch: sample_batch(None, 3),
             },
+            // A multi-KiB record: the reframing tests carry it across many
+            // reads.
             Record::Payload {
                 key: sample_key(),
-                packet_type: PacketType::Compressed,
-                codec: Some(zipline_engine::CODEC_DEFLATE),
-                bytes: vec![11, 12, 13],
-            },
-            Record::Control {
-                key: sample_key(),
-                update: DictionaryUpdate {
-                    seq: 13,
-                    at: 2,
-                    op: UpdateOp::Install {
-                        id: 5,
-                        basis: BitVec::from_bytes(&[0x0F, 0xF0]),
-                    },
-                },
+                batch: sample_batch(Some(zipline_engine::CODEC_DEFLATE), 700),
             },
             Record::Reseed {
                 key: sample_key(),
@@ -1028,7 +759,6 @@ mod tests {
             KIND_SERVER_HELLO,
             KIND_OPENED,
             KIND_PAYLOAD,
-            KIND_CONTROL,
             KIND_ERROR,
             KIND_RESEED,
             KIND_FLOW_DONE,
@@ -1105,42 +835,18 @@ mod tests {
     #[test]
     fn borrowed_encoders_match_the_record_encoder() {
         let mut codec = WireCodec::new();
-        let update = DictionaryUpdate {
-            seq: 4,
-            at: 17,
-            op: UpdateOp::Install {
-                id: 2,
-                basis: BitVec::from_bytes(&[0x55; 8]),
-            },
-        };
         for tag in [None, Some(zipline_engine::CODEC_DEFLATE)] {
+            let batch = sample_batch(tag, 40);
             let mut framed = Vec::new();
-            codec.encode_payload_into(
-                sample_key(),
-                tag,
-                PacketType::Compressed,
-                &[9, 8, 7],
-                &mut framed,
-            );
+            codec.encode_payload_into(sample_key(), &batch, &mut framed);
             assert_eq!(
                 framed,
                 codec.encode(&Record::Payload {
                     key: sample_key(),
-                    packet_type: PacketType::Compressed,
-                    codec: tag,
-                    bytes: vec![9, 8, 7],
+                    batch,
                 })
             );
         }
-        let mut framed = Vec::new();
-        codec.encode_control_into(sample_key(), &update, &mut framed);
-        assert_eq!(
-            framed,
-            codec.encode(&Record::Control {
-                key: sample_key(),
-                update,
-            })
-        );
         assert_eq!(
             codec.encode_flow_data(sample_key(), &[6]),
             codec.encode(&Record::Data {
@@ -1169,7 +875,7 @@ mod tests {
             codec.encode(&Record::ServerHello(ServerHello::default())),
         ];
         for hello in hellos {
-            for version in [1u16, 2, 3, 5] {
+            for version in [1u16, 2, 3, 4, 6] {
                 let mut frame = hello.clone();
                 // len(4) kind(1) magic(4), then the version field.
                 frame[9..11].copy_from_slice(&version.to_le_bytes());
@@ -1195,9 +901,7 @@ mod tests {
         let mut payload = |tag| {
             codec.encode(&Record::Payload {
                 key: sample_key(),
-                packet_type: PacketType::Compressed,
-                codec: tag,
-                bytes: vec![1, 2],
+                batch: sample_batch(tag, 2),
             })
         };
         // The codec byte is where a tagged and an untagged frame first
@@ -1213,6 +917,52 @@ mod tests {
         assert!(matches!(
             codec.decode(&frame),
             Err(WireError::UnknownCodec(0xEE))
+        ));
+    }
+
+    /// A `PAYLOAD` whose batch body lies about itself is a typed
+    /// `Malformed`, reached without expanding anything: the frame module
+    /// bounds the work by the body's length (its own tests walk the cases;
+    /// this pins the mapping and that the key is parsed first).
+    #[test]
+    fn hostile_batch_bodies_are_malformed_not_panics() {
+        let codec = WireCodec::new();
+        let framed = |body: &[u8]| {
+            let mut frame = Vec::new();
+            codec.keyed(&mut frame, KIND_PAYLOAD, sample_key(), |b| {
+                b.extend_from_slice(body)
+            });
+            frame
+        };
+        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+        let cases: [(&str, Vec<u8>); 6] = [
+            // One run of type 3, length 0, count 2^63.
+            ("empty payload run", [&[0, 0, 1, 3, 0][..], &huge].concat()),
+            // Length 2^63 × count 2^63 overflows.
+            ("overrun", [&[0, 0, 1, 3][..], &huge, &huge, &[1]].concat()),
+            // Runs account for 2 bytes, 3 follow; then 2 accounted, 1 there.
+            ("3 payload bytes", vec![0, 0, 1, 3, 2, 1, 9, 9, 9]),
+            ("overrun", vec![0, 0, 1, 3, 2, 1, 9]),
+            ("unknown packet type 0", vec![0, 0, 1, 0, 1, 1, 9]),
+            // An update placed before payload 5 of a 1-payload batch.
+            (
+                "before payload 5 of 1",
+                [&[0, 1, 5][..], &[0; 16], &[1], &[0; 8], &[1, 3, 1, 1, 9]].concat(),
+            ),
+        ];
+        for (needle, body) in cases {
+            match codec.decode(&framed(&body)) {
+                Err(WireError::Malformed(message)) => assert!(
+                    message.starts_with("PAYLOAD") && message.contains(needle),
+                    "expected a PAYLOAD error naming {needle:?}, got: {message}"
+                ),
+                other => panic!("expected Malformed naming {needle:?}, got {other:?}"),
+            }
+        }
+        // The smallest honest body parses: codec 0, no updates, no runs.
+        assert!(matches!(
+            codec.decode(&framed(&[0, 0, 0])),
+            Ok(Some((Record::Payload { batch, .. }, _))) if batch.is_empty()
         ));
     }
 

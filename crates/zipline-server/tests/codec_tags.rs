@@ -213,14 +213,18 @@ fn servers_advertise_their_codecs_and_refuse_codec_sets_that_miss_one() {
         ),
         other => panic!("expected SERVER_HELLO, got {other:?}"),
     }
-    let mut payloads = 0usize;
+    let mut payloads = 0u64;
     loop {
         match reader.read_record().expect("record parses") {
-            Some(Record::Payload { codec, .. }) => {
-                assert_eq!(codec, None, "a fixed backend leaves the codec byte 0");
-                payloads += 1;
+            Some(Record::Payload { batch, .. }) => {
+                assert_eq!(
+                    batch.codec(),
+                    None,
+                    "a fixed backend leaves the codec byte 0"
+                );
+                payloads += batch.payload_count();
             }
-            Some(Record::Opened { .. } | Record::Control { .. } | Record::FlowDone { .. }) => {}
+            Some(Record::Opened { .. } | Record::FlowDone { .. }) => {}
             Some(Record::Done(done)) => {
                 assert_eq!(done.bytes_in, data.len() as u64);
                 assert!(!done.server_initiated);

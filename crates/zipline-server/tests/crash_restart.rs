@@ -10,6 +10,11 @@
 //! server replays the committed journal past it and names the input byte
 //! offset to resume from.
 //!
+//! The cursor counts entries — payloads and control updates — not records:
+//! a client that went away in the middle of a batch record's worth of
+//! entries names a position inside a batch, and the replay starts exactly
+//! there (third test).
+//!
 //! The durable layout is older than the wire: a store written by the
 //! pre-v4 classic handler for stream `S` must resume, bit-identically, as
 //! flow `(0, S)` — the second test builds such a store the way that handler
@@ -238,6 +243,125 @@ fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
     );
     drop(server_c.shutdown());
 
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+/// `root`'s files, recursively, under `to`.
+fn copy_tree(root: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).expect("directory creates");
+    for entry in std::fs::read_dir(root).expect("directory lists") {
+        let entry = entry.expect("entry reads");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("file copies");
+        }
+    }
+}
+
+/// The replay cursor names an entry, wherever the batch records fell: a
+/// reconnect holding exactly one batch, one entry less (the batch's last
+/// payload never arrived) and one entry more (the client stopped just
+/// inside the next batch) each replays from exactly that entry, and held +
+/// replayed + resumed is bit-identical to the uninterrupted stream.
+#[test]
+fn a_cursor_at_before_and_after_a_batch_boundary_replays_from_exactly_there() {
+    const CURSOR_STREAM: u64 = 0xC0FFEE;
+    let workload = CrashWorkload::exceeding_capacity(64, 4, CHUNK);
+    let full_bytes = workload.full().bytes();
+
+    let ref_dir = temp_root("cursor-ref");
+    let ref_server = bind(ref_dir.clone());
+    let reference = uninterrupted_run(ref_server.endpoint(), CURSOR_STREAM, &full_bytes);
+    drop(ref_server.shutdown());
+
+    // One store killed mid-stream, after every pre-crash batch committed
+    // (the inline engine commits a batch before it answers with it).
+    let crash_dir = temp_root("cursor-crash");
+    let server = bind(crash_dir.clone());
+    let mut client = ClientSession::connect(server.endpoint()).expect("connects");
+    client.hello(CURSOR_STREAM, 0).expect("hello answered");
+    let pre_crash: Vec<Vec<u8>> = workload.pre_crash().chunks().collect();
+    for chunk in &pre_crash {
+        client.send_data(chunk).expect("data sent");
+    }
+    let whole_batches = pre_crash.len() / 32;
+    assert!(
+        whole_batches >= 3,
+        "the pre-crash phase spans several batches"
+    );
+    let mut payloads = 0;
+    while payloads < whole_batches * 32 {
+        match client.next_event().expect("every whole batch comes back") {
+            ServerEvent::Payload { .. } => payloads += 1,
+            _ => continue,
+        }
+    }
+    server.abort();
+    drop(client.close());
+
+    // Where a batch ends in the entry stream: just past its last payload
+    // (its control updates sit among and before its payloads).
+    let end_of_payload = |n: usize| {
+        let nth = reference
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| matches!(entry, Entry::Payload(..)))
+            .nth(n - 1);
+        1 + nth.expect("the stream has that many payloads").0
+    };
+    let boundary = end_of_payload(32);
+    let committed = end_of_payload(whole_batches * 32);
+    assert!(
+        matches!(reference[boundary], Entry::Control(_)),
+        "the second batch opens with an install, so `boundary + 1` splits a batch's updates"
+    );
+
+    for held in [boundary, boundary - 1, boundary + 1] {
+        let dir = temp_root(&format!("cursor-{held}"));
+        copy_tree(&crash_dir, &dir);
+        let server = bind(dir.clone());
+        let mut client = ClientSession::connect(server.endpoint()).expect("connects");
+        let hello = client
+            .hello(CURSOR_STREAM, held as u64)
+            .expect("hello answered");
+        assert!(hello.warm);
+        assert_eq!(hello.resume_bytes_in as usize, whole_batches * 32 * CHUNK);
+        let mut received = reference[..held].to_vec();
+        for chunk in full_bytes[hello.resume_bytes_in as usize..].chunks(CHUNK) {
+            client.send_data(chunk).expect("data sent");
+        }
+        client.end().expect("end sent");
+        let mut replayed = 0;
+        client
+            .drain_to_done(|event| {
+                if let Some(entry) = entry_of(event) {
+                    replayed += 1;
+                    if replayed == 1 {
+                        assert_eq!(
+                            entry, reference[held],
+                            "held {held}: the replay starts at the cursor"
+                        );
+                    }
+                    received.push(entry);
+                }
+            })
+            .expect("clean finish");
+        let report = server.shutdown();
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(
+            (hello.replay_entries, report.stats.replayed_entries),
+            ((committed - held) as u64, (committed - held) as u64),
+            "held {held}: the replay is the committed journal past the cursor"
+        );
+        assert_eq!(
+            received, reference,
+            "held {held}: held + replayed + resumed must be the uninterrupted stream"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
 }

@@ -8,12 +8,15 @@
 //! one is rejected with a typed `ERROR` record before any stream state
 //! exists.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 
 use zipline::host::HostPathConfig;
-use zipline_engine::{flow_dir, CodecId, DictionaryUpdate, EngineConfig, SpawnPolicy, SyncPolicy};
+use zipline_engine::{
+    flow_dir, CodecId, DictionaryUpdate, EngineConfig, PipelinedStream, SpawnPolicy, SyncPolicy,
+};
 use zipline_gd::packet::PacketType;
 use zipline_gd::{CrcEngine, CrcSpec, GdConfig};
 use zipline_server::wire::REQUEST_MAGIC;
@@ -21,6 +24,8 @@ use zipline_server::{
     ClientSession, Endpoint, FlowDecoderPool, FlowKey, Record, RecordReader, ServerConfigBuilder,
     ServerEvent, ServerHandle, WIRE_VERSION,
 };
+
+use zipline_traces::{ChurnWorkload, ChurnWorkloadConfig};
 
 const CHUNK: usize = 32;
 const BATCH: usize = 8;
@@ -222,6 +227,73 @@ fn many_flows_one_socket_decode_losslessly_and_independently() {
     assert!(report.errors.is_empty(), "{:?}", report.errors);
 }
 
+/// The wire carries one `PAYLOAD` record per batch; [`ClientSession`]
+/// expands it. For two interleaved flows that evict continuously, what the
+/// client hands its consumer is exactly the call sequence the per-payload
+/// sinks of an in-process [`PipelinedStream`] see — every control ahead of
+/// the payload it guards — and the totals still count payloads and updates.
+#[test]
+fn client_side_expansion_matches_the_in_process_per_payload_sinks() {
+    // ~100 (or ~70) bases through 64 identifiers, a ragged last batch.
+    let churning = |distinct, repeats| {
+        let workload = ChurnWorkload::new(ChurnWorkloadConfig {
+            distinct,
+            repeats,
+            chunk_len: CHUNK,
+        });
+        workload.bytes()[..203 * CHUNK].to_vec()
+    };
+    let flows = vec![
+        (FlowKey::new(5, 0), churning(120, 2)),
+        (FlowKey::new(6, 0), churning(80, 3)),
+    ];
+    let server = bind(None);
+    let (streams, _) = multiplexed_run(server.endpoint(), &flows);
+    let report = server.shutdown();
+    assert!(report.errors.is_empty(), "{:?}", report.errors);
+
+    let (mut payloads, mut controls) = (0u64, 0u64);
+    for (key, bytes) in &flows {
+        let mut host = host(None);
+        host.pipeline_depth = Some(2);
+        let engine = host.engine_builder().build().expect("engine builds");
+        let seen = RefCell::new(Vec::new());
+        let mut stream = PipelinedStream::with_control_sink(
+            engine,
+            host.batch_chunks,
+            |pt, bytes: &[u8]| {
+                seen.borrow_mut()
+                    .push(Entry::Payload(None, pt, bytes.to_vec()))
+            },
+            Some(|update: &DictionaryUpdate| {
+                seen.borrow_mut().push(Entry::Control(update.clone()))
+            }),
+        )
+        .expect("stream builds");
+        for chunk in bytes.chunks(CHUNK) {
+            stream.push_record(chunk).expect("push succeeds");
+        }
+        stream.finish().expect("finish succeeds");
+        let reference = seen.into_inner();
+        assert_eq!(
+            streams[key], reference,
+            "{key} diverged from its in-process stream"
+        );
+        controls += reference
+            .iter()
+            .filter(|e| matches!(e, Entry::Control(_)))
+            .count() as u64;
+        payloads += reference.len() as u64;
+    }
+    payloads -= controls;
+    assert!(controls > 2 * 64, "the flows evict: {controls} updates");
+    assert_eq!(
+        (report.stats.payloads_out, report.stats.controls_out),
+        (payloads, controls),
+        "the counters count payloads and updates, not records"
+    );
+}
+
 #[test]
 fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
     let flows = flows();
@@ -358,8 +430,8 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
     let _ = std::fs::remove_dir_all(&crash_root);
 }
 
-/// Wire v4 is the only version: a hello of version 1, 2, 3 or 5 — whatever
-/// body shape that version gave it — is answered with a typed `ERROR`
+/// Wire v5 is the only version: a hello of version 1, 2, 3, 4 or 6 —
+/// whatever body shape that version gave it — is answered with a typed `ERROR`
 /// record naming the version the server speaks, then the connection
 /// closes with no stream state created.
 #[test]
@@ -372,7 +444,8 @@ fn hellos_of_any_other_version_get_a_typed_error_naming_the_supported_one() {
         .to_string();
     let crc_engine = CrcEngine::new(CrcSpec::new(32, 0x04C1_1DB7).expect("valid CRC spec"));
 
-    let stale_versions = [1u16, 2, 3, WIRE_VERSION + 1];
+    let stale_versions = [1u16, 2, 3, 4, WIRE_VERSION + 1];
+    assert_eq!(WIRE_VERSION, 5);
     for version in stale_versions {
         let mut socket = std::net::TcpStream::connect(&addr).expect("connects");
         // Hand-craft the CLIENT_HELLO frame: magic + version, then the

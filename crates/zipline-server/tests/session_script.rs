@@ -5,15 +5,21 @@
 //! per-flow ordering of interleaved emissions, and the graceful-stop drain
 //! order.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use zipline::host::HostPathConfig;
-use zipline_engine::{EngineConfig, GdBackend, SpawnPolicy};
+use zipline_engine::{
+    AutoBackend, BatchEvent, CodecCursor, CodecId, CompressionBackend, DictionaryUpdate,
+    EngineConfig, FlowBatch, GdBackend, PipelinedStream, SpawnPolicy,
+};
+use zipline_gd::packet::PacketType;
 use zipline_gd::GdConfig;
 use zipline_server::{
     ClientHello, FlowDecoderPool, FlowKey, Record, ServerError, Session, SessionRegistry, WireCodec,
 };
+use zipline_traces::{ChunkWorkload, ChurnWorkload, ChurnWorkloadConfig};
 
 const CHUNK: usize = 32;
 
@@ -37,16 +43,16 @@ fn session(registry: &Arc<SessionRegistry>) -> Session<GdBackend> {
 }
 
 /// A session past its hello exchange.
-fn greeted(registry: &Arc<SessionRegistry>) -> Session<GdBackend> {
-    let mut session = session(registry);
+fn greeted<B: CompressionBackend + Send + 'static>(registry: &Arc<SessionRegistry>) -> Session<B> {
+    let mut session = Session::new(&host(), Arc::clone(registry)).expect("session builds");
     run(&mut session, [Record::ClientHello(ClientHello::default())]).expect("hello accepted");
     session
 }
 
 /// Feeds `script` in order, returning every record the session answered
 /// with, or the first error.
-fn run(
-    session: &mut Session<GdBackend>,
+fn run<B: CompressionBackend + Send + 'static>(
+    session: &mut Session<B>,
     script: impl IntoIterator<Item = Record>,
 ) -> Result<Vec<Record>, ServerError> {
     let mut frames = Vec::new();
@@ -127,45 +133,54 @@ fn records_out_of_protocol_order_are_typed_errors() {
     // A second hello.
     assert_protocol_error(
         run(
-            &mut greeted(&registry),
+            &mut greeted::<GdBackend>(&registry),
             [Record::ClientHello(ClientHello::default())],
         ),
         "unexpected CLIENT_HELLO",
     );
     // A server-side record from the client.
     assert_protocol_error(
-        run(&mut greeted(&registry), [Record::Error("hi".into())]),
+        run(
+            &mut greeted::<GdBackend>(&registry),
+            [Record::Error("hi".into())],
+        ),
         "unexpected ERROR",
     );
     // OPEN of a flow this session already holds.
     assert_protocol_error(
-        run(&mut greeted(&registry), [open(key), open(key)]),
+        run(&mut greeted::<GdBackend>(&registry), [open(key), open(key)]),
         "already active",
     );
     // DATA and END_FLOW for a flow that was never opened — or was already
     // ended.
-    assert_protocol_error(run(&mut greeted(&registry), [data()]), "not active");
     assert_protocol_error(
-        run(&mut greeted(&registry), [Record::EndFlow { key }]),
+        run(&mut greeted::<GdBackend>(&registry), [data()]),
         "not active",
     );
     assert_protocol_error(
         run(
-            &mut greeted(&registry),
+            &mut greeted::<GdBackend>(&registry),
+            [Record::EndFlow { key }],
+        ),
+        "not active",
+    );
+    assert_protocol_error(
+        run(
+            &mut greeted::<GdBackend>(&registry),
             [open(key), Record::EndFlow { key }, data()],
         ),
         "not active",
     );
     // Anything after END.
     for late in [open(key), data(), Record::End] {
-        let mut session = greeted(&registry);
+        let mut session = greeted::<GdBackend>(&registry);
         let answered = run(&mut session, [Record::End]).expect("END accepted");
         assert!(matches!(answered.as_slice(), [Record::Done(_)]));
         assert!(session.is_ended());
         assert_protocol_error(run(&mut session, [late]), "after END");
     }
     // Every session above is gone, and took its claims with it.
-    run(&mut greeted(&registry), [open(key)]).expect("the key is free again");
+    run(&mut greeted::<GdBackend>(&registry), [open(key)]).expect("the key is free again");
     assert_eq!(
         registry.stats().streams_completed,
         1,
@@ -177,19 +192,23 @@ fn records_out_of_protocol_order_are_typed_errors() {
 fn a_flow_key_has_one_owner_at_a_time_across_sessions() {
     let registry = Arc::new(SessionRegistry::default());
     let key = FlowKey::new(0, 0xD);
-    let mut first = greeted(&registry);
+    let mut first = greeted::<GdBackend>(&registry);
     run(&mut first, [open(key)]).expect("first claim");
 
     assert_protocol_error(
-        run(&mut greeted(&registry), [open(key)]),
+        run(&mut greeted::<GdBackend>(&registry), [open(key)]),
         "already being served on another connection",
     );
     // A different key on the same tenant is nobody's business.
-    run(&mut greeted(&registry), [open(FlowKey::new(0, 0xE))]).expect("disjoint key opens");
+    run(
+        &mut greeted::<GdBackend>(&registry),
+        [open(FlowKey::new(0, 0xE))],
+    )
+    .expect("disjoint key opens");
 
     // Ending the flow releases it while its session lives on…
     run(&mut first, [Record::EndFlow { key }]).expect("flow ends");
-    let mut second = greeted(&registry);
+    let mut second = greeted::<GdBackend>(&registry);
     run(&mut second, [open(key)]).expect("released key is claimable");
     // …and so does dropping a session mid-flow (a dead connection).
     drop(second);
@@ -214,7 +233,7 @@ fn interleaved_flows_keep_per_flow_order_with_controls_ahead_of_their_payloads()
                 bytes: bytes.clone(),
             }));
             script.push(Record::EndFlow { key: *key });
-            let answered = run(&mut greeted(&registry), script).expect("solo run");
+            let answered = run(&mut greeted::<GdBackend>(&registry), script).expect("solo run");
             (*key, answered)
         })
         .collect();
@@ -230,7 +249,7 @@ fn interleaved_flows_keep_per_flow_order_with_controls_ahead_of_their_payloads()
         }
     }
     script.extend(flows.iter().map(|(key, _)| Record::EndFlow { key: *key }));
-    let answered = run(&mut greeted(&registry), script).expect("interleaved run");
+    let answered = run(&mut greeted::<GdBackend>(&registry), script).expect("interleaved run");
 
     let mut pool = FlowDecoderPool::new(host().engine);
     let mut restored: BTreeMap<FlowKey, Vec<u8>> = BTreeMap::new();
@@ -245,21 +264,15 @@ fn interleaved_flows_keep_per_flow_order_with_controls_ahead_of_their_payloads()
                 pool.open(*key).expect("decoder opens");
                 *key
             }
-            Record::Control { key, update } => {
-                pool.observe_control(*key, update)
-                    .expect("controls arrive in order");
-                controls += 1;
-                *key
-            }
-            Record::Payload {
-                key,
-                packet_type,
-                codec,
-                bytes,
-            } => {
-                let out = restored.entry(*key).or_default();
-                pool.decode_payload(*key, *codec, *packet_type, bytes, out)
-                    .expect("every basis a payload needs is already installed");
+            Record::Payload { key, batch } => {
+                assert_eq!(batch.codec(), None, "a fixed backend writes codec byte 0");
+                controls += batch.updates().len();
+                let flow = FlowBatch {
+                    key: *key,
+                    batch: batch.clone(),
+                };
+                pool.decode_batch(&flow, restored.entry(*key).or_default())
+                    .expect("controls in order, every basis installed before its payload");
                 *key
             }
             Record::FlowDone { key, summary } => {
@@ -280,6 +293,178 @@ fn interleaved_flows_keep_per_flow_order_with_controls_ahead_of_their_payloads()
     }
 }
 
+/// The first `chunks` chunks of a stream that really churns the 64-entry
+/// dictionary: `distinct` bases, each `repeats` times in a row.
+fn churning_chunks(distinct: u32, repeats: u32, chunks: usize) -> Vec<Vec<u8>> {
+    let workload = ChurnWorkload::new(ChurnWorkloadConfig {
+        distinct,
+        repeats,
+        chunk_len: CHUNK,
+    });
+    workload.chunks().take(chunks).collect()
+}
+
+/// One event of a flow's stream as a per-payload consumer sees it.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Control(DictionaryUpdate),
+    Payload(Option<CodecId>, PacketType, Vec<u8>),
+}
+
+/// `chunks` through an in-process [`PipelinedStream`] shaped like the
+/// session's flows, observed through its per-payload sinks.
+fn in_process<B: CompressionBackend + Send + 'static>(chunks: &[Vec<u8>]) -> Vec<Seen> {
+    let host = host();
+    let backend = B::from_engine_config(&host.engine).expect("backend builds");
+    let engine = host
+        .engine_builder()
+        .backend(backend)
+        .pipelined(2)
+        .build()
+        .expect("engine builds");
+    let seen = RefCell::new(Vec::new());
+    let cursor = CodecCursor::new();
+    let mut stream = PipelinedStream::with_control_sink(
+        engine,
+        host.batch_chunks,
+        |packet_type, bytes: &[u8]| {
+            seen.borrow_mut()
+                .push(Seen::Payload(cursor.get(), packet_type, bytes.to_vec()))
+        },
+        Some(|update: &DictionaryUpdate| seen.borrow_mut().push(Seen::Control(update.clone()))),
+    )
+    .expect("stream builds");
+    stream.set_codec_cursor(cursor.clone());
+    for chunk in chunks {
+        stream.push_record(chunk).expect("push succeeds");
+    }
+    stream.finish().expect("finish succeeds");
+    seen.into_inner()
+}
+
+/// Two churning flows interleaved on one session: each flow's `PAYLOAD`
+/// records, expanded, are exactly the event sequence the per-payload sinks
+/// of an in-process stream produce — every control ahead of the payload it
+/// guards, the codec tag on every payload of a tagged batch — and the
+/// `FLOW_DONE`/`DONE` totals and the server counters count payloads and
+/// updates, not records.
+fn interleaved_flows_expand_to_the_in_process_sequence<B>(tagged: bool)
+where
+    B: CompressionBackend + Send + 'static,
+{
+    let registry = Arc::new(SessionRegistry::default());
+    // 203 chunks: a ragged last batch, and ~100 (or ~70) bases through 64
+    // identifiers.
+    let flows = [
+        (FlowKey::new(4, 0), churning_chunks(120, 2, 203)),
+        (FlowKey::new(4, 1), churning_chunks(80, 3, 203)),
+    ];
+    let mut script: Vec<Record> = flows.iter().map(|(key, _)| open(*key)).collect();
+    for round in 0..203 {
+        for (key, chunks) in &flows {
+            script.push(Record::Data {
+                key: *key,
+                bytes: chunks[round].clone(),
+            });
+        }
+    }
+    script.push(Record::End);
+    let answered = run(&mut greeted::<B>(&registry), script).expect("interleaved run");
+
+    let mut expanded: BTreeMap<FlowKey, Vec<Seen>> = BTreeMap::new();
+    let mut records = 0u64;
+    for record in &answered {
+        match record {
+            Record::Payload { key, batch } => {
+                records += 1;
+                assert_eq!(batch.codec().is_some(), tagged);
+                expanded
+                    .entry(*key)
+                    .or_default()
+                    .extend(batch.events().map(|event| match event {
+                        BatchEvent::Update(update) => Seen::Control(update.clone()),
+                        BatchEvent::Payload(packet_type, bytes) => {
+                            Seen::Payload(batch.codec(), packet_type, bytes.to_vec())
+                        }
+                    }));
+            }
+            Record::FlowDone { key, summary } => {
+                let seen = &expanded[key];
+                let payloads = seen.iter().filter(|e| matches!(e, Seen::Payload(..)));
+                assert_eq!(summary.payloads_emitted, payloads.clone().count() as u64);
+                assert_eq!(
+                    summary.wire_bytes,
+                    payloads
+                        .map(|e| match e {
+                            Seen::Payload(_, _, bytes) => bytes.len() as u64,
+                            Seen::Control(_) => 0,
+                        })
+                        .sum::<u64>(),
+                    "wire_bytes counts payload bytes only"
+                );
+                assert_eq!(
+                    summary.control_updates,
+                    (seen.len() as u64) - summary.payloads_emitted
+                );
+            }
+            _ => {}
+        }
+    }
+    let mut controls = 0u64;
+    let mut payloads = 0u64;
+    for (key, chunks) in &flows {
+        let reference = in_process::<B>(chunks);
+        assert_eq!(
+            expanded[key], reference,
+            "{key} diverged from its in-process stream"
+        );
+        controls += reference
+            .iter()
+            .filter(|e| matches!(e, Seen::Control(_)))
+            .count() as u64;
+        payloads += reference
+            .iter()
+            .filter(|e| matches!(e, Seen::Payload(..)))
+            .count() as u64;
+    }
+    if tagged {
+        // The router sends these zero-heavy chunks mostly to deflate: one
+        // payload per batch, and only its GD probes touch the dictionary.
+        assert!(controls > 0 && records <= payloads);
+    } else {
+        assert!(
+            controls > 2 * 64,
+            "the workload evicts: {controls} updates through 64 identifiers"
+        );
+        assert!(
+            records * 4 <= payloads,
+            "{records} records for {payloads} payloads: the batch is the record"
+        );
+    }
+    match answered.last() {
+        Some(Record::Done(totals)) => {
+            assert_eq!(totals.payloads_emitted, payloads);
+            assert_eq!(totals.control_updates, controls);
+        }
+        other => panic!("the session must close with DONE, got {other:?}"),
+    }
+    let stats = registry.stats();
+    assert_eq!(
+        (stats.payloads_out, stats.controls_out),
+        (payloads, controls)
+    );
+}
+
+#[test]
+fn interleaved_gd_flows_expand_to_the_in_process_sequence() {
+    interleaved_flows_expand_to_the_in_process_sequence::<GdBackend>(false);
+}
+
+#[test]
+fn interleaved_auto_flows_carry_their_codec_tag_on_every_payload() {
+    interleaved_flows_expand_to_the_in_process_sequence::<AutoBackend>(true);
+}
+
 #[test]
 fn a_graceful_stop_finishes_open_flows_in_sorted_key_order() {
     let registry = Arc::new(SessionRegistry::default());
@@ -298,7 +483,7 @@ fn a_graceful_stop_finishes_open_flows_in_sorted_key_order() {
         FlowKey::new(1, 2),
         FlowKey::new(0, 5),
     ];
-    let mut session = greeted(&registry);
+    let mut session = greeted::<GdBackend>(&registry);
     let mut script: Vec<Record> = keys.iter().map(|key| open(*key)).collect();
     for (i, key) in keys.iter().enumerate() {
         for bytes in flow_chunks(i as u64, 3 + i) {
@@ -334,7 +519,7 @@ fn a_graceful_stop_finishes_open_flows_in_sorted_key_order() {
     let mut done = Vec::new();
     for record in &answered {
         match record {
-            Record::Payload { key, .. } | Record::Control { key, .. } => {
+            Record::Payload { key, .. } => {
                 assert!(!done.contains(key), "{key} emitted after its FLOW_DONE")
             }
             Record::FlowDone { key, .. } => done.push(*key),

@@ -13,7 +13,7 @@
 use std::io::{Cursor, Read};
 
 use proptest::prelude::*;
-use zipline_engine::{codec_from_u8, CodecId, DictionaryUpdate, UpdateOp};
+use zipline_engine::{codec_from_u8, Batch, CodecId, DictionaryUpdate, UpdateOp};
 use zipline_gd::packet::PacketType;
 use zipline_gd::BitVec;
 use zipline_server::{
@@ -72,6 +72,41 @@ fn seed_of(bytes: &[u8]) -> u64 {
     })
 }
 
+/// Cuts a byte draw into one batch: runs of short equal-shaped payloads
+/// broken by the odd long one, an update ahead of every eleventh payload
+/// and sometimes one after the last.
+fn batch_from(bytes: &[u8]) -> Batch {
+    let seed = seed_of(bytes);
+    let mut batch = Batch::default();
+    batch.set_codec(payload_codec_from(seed.rotate_right(7)));
+    let mut rest = bytes;
+    for i in 0u64.. {
+        if rest.is_empty() {
+            break;
+        }
+        if i % 11 == 0 {
+            batch.push_update(update_from(seed.rotate_left(i as u32 % 64) ^ i));
+        }
+        let len = if i % 9 == 8 {
+            33
+        } else {
+            3 + seed as usize % 2
+        };
+        let (payload, tail) = rest.split_at(len.min(rest.len()));
+        let packet_type = match (i / 4 + seed) % 3 {
+            0 => PacketType::Raw,
+            1 => PacketType::Uncompressed,
+            _ => PacketType::Compressed,
+        };
+        batch.push_payload(packet_type, payload);
+        rest = tail;
+    }
+    if seed & 1 == 1 {
+        batch.push_update(update_from(seed.rotate_right(11)));
+    }
+    batch
+}
+
 fn done_from(seed: u64) -> DoneSummary {
     DoneSummary {
         bytes_in: seed >> 2,
@@ -112,23 +147,10 @@ fn record_strategy() -> BoxedStrategy<Record> {
                 warm: seed & 1 == 1,
             },
         }),
-        proptest::collection::vec(any::<u8>(), 0..160).prop_map(|bytes| {
-            let seed = seed_of(&bytes);
-            let packet_type = match seed % 3 {
-                0 => PacketType::Raw,
-                1 => PacketType::Uncompressed,
-                _ => PacketType::Compressed,
-            };
-            Record::Payload {
-                key: key_from(seed),
-                codec: payload_codec_from(seed.rotate_right(7)),
-                packet_type,
-                bytes,
-            }
-        }),
-        any::<u64>().prop_map(|seed| Record::Control {
-            key: key_from(seed),
-            update: update_from(seed.rotate_right(11)),
+        // From an empty batch to a multi-KiB one spanning many reads.
+        proptest::collection::vec(any::<u8>(), 0..6000).prop_map(|bytes| Record::Payload {
+            key: key_from(seed_of(&bytes)),
+            batch: batch_from(&bytes),
         }),
         any::<u64>().prop_map(|seed| Record::Reseed {
             key: key_from(seed),

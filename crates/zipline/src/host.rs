@@ -107,8 +107,8 @@ use crate::engine_control::{EngineControlPlane, EngineControlStats};
 use crate::error::Result;
 use zipline_engine::{
     CompressionBackend, CompressionEngine, DictionarySnapshot, DictionaryUpdate, EngineBuilder,
-    EngineConfig, EngineDecompressor, EngineStream, GdBackend, PipelinedStream, StreamSummary,
-    SyncPolicy, WarmStart,
+    EngineConfig, EngineDecompressor, EngineStream, GdBackend, PayloadSinks, PipelinedStream,
+    StreamSummary, SyncPolicy, WarmStart,
 };
 use zipline_gd::packet::PacketType;
 use zipline_net::ethernet::EthernetFrame;
@@ -452,7 +452,7 @@ impl<B: CompressionBackend + Send + 'static> EngineHostPath<B> {
     fn pipelined_via(
         &mut self,
         feed: impl FnOnce(
-            &mut PipelinedStream<FrameSink<'_>, ControlSink<'_>, B>,
+            &mut PipelinedStream<PayloadSinks<FrameSink<'_>, ControlSink<'_>>, B>,
         ) -> std::result::Result<(), zipline_engine::EngineError>,
     ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
         if self.config.pipeline_depth.is_none() {

@@ -271,7 +271,7 @@ mod recovery_injection {
     use std::path::{Path, PathBuf};
 
     use zipline_repro::zipline_engine::{
-        CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStore,
+        Batch, CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStore,
         EngineStream, GdBackend, ShardedDictionary, SpawnPolicy, WarmStart,
     };
     use zipline_repro::zipline_gd::config::GdConfig;
@@ -389,23 +389,64 @@ mod recovery_injection {
         }
     }
 
+    /// `(kind, end offset)` of every record of a log, read off the length
+    /// prefixes alone (`len:u32le · kind · body · crc:u32le`).
+    fn record_ends(log: &[u8]) -> Vec<(u8, usize)> {
+        let mut ends = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+            ends.push((log[at + 4], at + 4 + len + 4));
+            at += 4 + len + 4;
+        }
+        assert_eq!(at, log.len(), "the seed's log ends on a record boundary");
+        ends
+    }
+
     /// Kill the writer at *every byte offset* of the frame log: recovery
-    /// must land on the last commit boundary the surviving bytes cover.
+    /// must land on the last commit boundary the surviving bytes cover. A
+    /// batch is one record followed by its commit marker, so a cut anywhere
+    /// inside either truncates to the commit before them.
     #[test]
     fn frame_log_truncated_at_every_offset_recovers_a_prefix_or_fails_loudly() {
+        const KIND_COMMIT: u8 = 0x14;
+        const KIND_BATCH: u8 = 0x16;
         let dir = recovery_dir("trunc-frame-seed");
         seed_store(&dir, 1, &churny_data());
         let reference = reference_warm(&dir);
         assert!(reference.batches >= 4, "seed must commit several batches");
 
         let frame_bytes = std::fs::read(dir.join(FRAME_LOG)).unwrap();
+        let records = record_ends(&frame_bytes);
+        let kinds: Vec<u8> = records.iter().map(|(kind, _)| *kind).collect();
+        assert!(
+            kinds[1..]
+                .chunks(2)
+                .all(|pair| pair == [KIND_BATCH, KIND_COMMIT]),
+            "header, then one batch record and one commit marker per batch: {kinds:02x?}"
+        );
+        // The last batch is the interrupted one as far as any cut past the
+        // commit before it is concerned.
+        let last_commit_but_one = records[records.len() - 3].1;
+
         let work = recovery_dir("trunc-frame-work");
         let mut boundaries = Vec::new();
         for cut in 0..=frame_bytes.len() {
             clone_store(&dir, &work);
             std::fs::write(work.join(FRAME_LOG), &frame_bytes[..cut]).unwrap();
-            if let Some(batches) = assert_prefix_or_loud(&work, &reference) {
-                boundaries.push(batches);
+            let commits_covered = records
+                .iter()
+                .filter(|(kind, end)| *kind == KIND_COMMIT && *end <= cut)
+                .count() as u64;
+            match assert_prefix_or_loud(&work, &reference) {
+                Some(batches) => {
+                    assert_eq!(batches, commits_covered, "cut {cut}");
+                    boundaries.push(batches);
+                }
+                None => assert!(
+                    cut < last_commit_but_one,
+                    "cut {cut} tore only the last batch and must recover"
+                ),
             }
         }
         // The sweep must see recovery at more than one boundary (early cuts
@@ -534,16 +575,10 @@ mod recovery_injection {
         dict.classify_at(0, &basis, hash, 0).unwrap();
         let delta = dict.take_delta();
         assert!(!delta.updates.is_empty());
-        store
-            .commit_batch(
-                &[(PacketType::Compressed, 3u32)],
-                &[9, 9, 9],
-                None,
-                &delta.updates,
-                None,
-                32,
-            )
-            .unwrap();
+        let mut batch = Batch::default();
+        batch.push_payload(PacketType::Compressed, &[9, 9, 9]);
+        batch.place_updates(delta.updates.clone());
+        store.commit_batch(&batch, None, 32).unwrap();
         // Crash here: committed, nothing emitted.
         drop(store);
 
