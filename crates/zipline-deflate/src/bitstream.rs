@@ -5,7 +5,9 @@
 //! code* but the codes themselves fill bytes LSB-first. These helpers expose
 //! exactly the two primitives the encoder and decoder need: `write_bits` /
 //! `read_bits` for "normal" values (LSB-first) and explicit byte alignment
-//! for stored blocks.
+//! for stored blocks. A Huffman code goes through the same `write_bits`:
+//! the encoder stores its codes already bit-reversed ([`reverse_bits`]), so
+//! the LSB-first write puts the code's most significant bit first.
 
 use crate::error::{DeflateError, Result};
 
@@ -15,7 +17,7 @@ pub struct BitWriter {
     out: Vec<u8>,
     /// Bits accumulated but not yet flushed to `out` (LSB = oldest).
     bit_buffer: u64,
-    /// Number of valid bits in `bit_buffer`.
+    /// Number of valid bits in `bit_buffer`; below 32 between calls.
     bit_count: u32,
 }
 
@@ -43,27 +45,21 @@ impl BitWriter {
         debug_assert!(count == 32 || value < (1 << count));
         self.bit_buffer |= (value as u64) << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.out.push((self.bit_buffer & 0xFF) as u8);
-            self.bit_buffer >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 32 {
+            self.out
+                .extend_from_slice(&(self.bit_buffer as u32).to_le_bytes());
+            self.bit_buffer >>= 32;
+            self.bit_count -= 32;
         }
-    }
-
-    /// Writes a Huffman code of `len` bits. Huffman codes are defined
-    /// MSB-first, so the bits are reversed before the LSB-first write.
-    pub fn write_code(&mut self, code: u32, len: u32) {
-        let reversed = reverse_bits(code, len);
-        self.write_bits(reversed, len);
     }
 
     /// Pads with zero bits to the next byte boundary.
     pub fn align_to_byte(&mut self) {
-        if self.bit_count > 0 {
-            self.out.push((self.bit_buffer & 0xFF) as u8);
-            self.bit_buffer = 0;
-            self.bit_count = 0;
-        }
+        let bytes = self.bit_count.div_ceil(8) as usize;
+        self.out
+            .extend_from_slice(&self.bit_buffer.to_le_bytes()[..bytes]);
+        self.bit_buffer = 0;
+        self.bit_count = 0;
     }
 
     /// Appends whole bytes; the stream must be byte aligned.
@@ -72,9 +68,9 @@ impl BitWriter {
         self.out.extend_from_slice(bytes);
     }
 
-    /// Number of whole bytes produced so far (excluding buffered bits).
+    /// Number of whole bytes produced so far (excluding a partial byte).
     pub fn byte_len(&self) -> usize {
-        self.out.len()
+        self.out.len() + (self.bit_count / 8) as usize
     }
 
     /// Finishes the stream, flushing any partial byte.
@@ -84,15 +80,12 @@ impl BitWriter {
     }
 }
 
-/// Reverses the low `len` bits of `value`.
+/// Reverses the low `len` bits of `value` (`len <= 32`).
 pub fn reverse_bits(value: u32, len: u32) -> u32 {
-    let mut v = value;
-    let mut out = 0;
-    for _ in 0..len {
-        out = (out << 1) | (v & 1);
-        v >>= 1;
+    match len {
+        0 => 0,
+        _ => value.reverse_bits() >> (32 - len),
     }
-    out
 }
 
 /// LSB-first bit reader.
@@ -218,13 +211,33 @@ mod tests {
     #[test]
     fn huffman_codes_are_written_msb_first() {
         // A 2-bit code 0b10 must appear MSB-first in the stream: reading the
-        // stream bit by bit yields 1 then 0.
+        // stream bit by bit yields 1 then 0. The encoder gets there by
+        // storing the code reversed and writing it LSB-first.
         let mut w = BitWriter::new();
-        w.write_code(0b10, 2);
+        w.write_bits(reverse_bits(0b10, 2), 2);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bit().unwrap(), 1); // MSB of the code first
         assert_eq!(r.read_bit().unwrap(), 0);
+    }
+
+    #[test]
+    fn long_runs_of_odd_width_writes_keep_every_bit() {
+        // Crosses the 32-bit flush boundary at every phase.
+        let widths = [1u32, 7, 13, 15, 28, 32, 3, 20, 31, 5];
+        let mut w = BitWriter::new();
+        for i in 0..500u32 {
+            let width = widths[i as usize % widths.len()];
+            let value = i.wrapping_mul(2654435761) & (u32::MAX >> (32 - width));
+            w.write_bits(value, width);
+        }
+        let bytes = w.into_bytes();
+        let mut r = BitReader::new(&bytes);
+        for i in 0..500u32 {
+            let width = widths[i as usize % widths.len()];
+            let value = i.wrapping_mul(2654435761) & (u32::MAX >> (32 - width));
+            assert_eq!(r.read_bits(width).unwrap(), value, "write {i}");
+        }
     }
 
     #[test]

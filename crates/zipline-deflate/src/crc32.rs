@@ -4,6 +4,13 @@
 //! `0xEDB88320`, initial value `0xFFFFFFFF` and final inversion — distinct
 //! from the non-reflected, non-premultiplied CRC convention the GD transform
 //! uses (`zipline-gd`).
+//!
+//! [`Crc32::update`] is slicing-by-8: eight 256-entry tables, where
+//! `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, let one
+//! step fold eight input bytes into the state with eight independent
+//! lookups instead of eight dependent ones. The tail (and any input shorter
+//! than eight bytes) takes the classic byte-at-a-time step through
+//! `TABLES[0]`; both produce the same value for every split of the input.
 
 /// Streaming CRC-32 state.
 #[derive(Debug, Clone, Copy)]
@@ -11,26 +18,36 @@ pub struct Crc32 {
     state: u32,
 }
 
-/// 256-entry lookup table for the reflected polynomial.
-fn table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
+/// Slicing tables for the reflected polynomial, built at compile time.
+static TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
-}
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let below = tables[k - 1][i];
+            tables[k][i] = (below >> 8) ^ tables[0][(below & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
 
 impl Default for Crc32 {
     fn default() -> Self {
@@ -46,11 +63,23 @@ impl Crc32 {
 
     /// Feeds bytes into the CRC.
     pub fn update(&mut self, data: &[u8]) {
-        let table = table();
-        for &b in data {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ table[idx];
+        let mut state = self.state;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let low = state ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            state = TABLES[7][(low & 0xFF) as usize]
+                ^ TABLES[6][((low >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((low >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(low >> 24) as usize]
+                ^ TABLES[3][word[4] as usize]
+                ^ TABLES[2][word[5] as usize]
+                ^ TABLES[1][word[6] as usize]
+                ^ TABLES[0][word[7] as usize];
         }
+        for &b in words.remainder() {
+            state = (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = state;
     }
 
     /// Finishes and returns the CRC value.
@@ -90,6 +119,31 @@ mod tests {
             c.update(chunk);
         }
         assert_eq!(c.finalize(), crc32(&data));
+    }
+
+    /// The byte-at-a-time CRC the slicing path must agree with.
+    fn bytewise(data: &[u8]) -> u32 {
+        let state = data.iter().fold(0xFFFF_FFFFu32, |state, &b| {
+            (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize]
+        });
+        state ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn slicing_matches_bytewise_for_every_short_length_and_split() {
+        let data: Vec<u8> = (0..64u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+            .collect();
+        for len in 0..=data.len() {
+            let expected = bytewise(&data[..len]);
+            assert_eq!(crc32(&data[..len]), expected, "length {len}");
+            for split in 0..=len {
+                let mut c = Crc32::new();
+                c.update(&data[..split]);
+                c.update(&data[split..len]);
+                assert_eq!(c.finalize(), expected, "length {len} split at {split}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,22 @@
 //! DEFLATE block encoding (RFC 1951).
+//!
+//! [`DeflateEncoder`] owns what an encoding needs beyond its input — the
+//! matcher's hash chains and the token buffer — so a caller that compresses
+//! many members (the engine backends) pays for them once;
+//! [`deflate_compress_into`] is the same code over a throw-away encoder.
+//!
+//! A block is written from tables: symbols come from the lookup tables of
+//! [`crate::tables`], codes are stored ready to write, and both the fixed
+//! and the dynamic cost of a block are computed from its two symbol
+//! histograms before either is committed to.
 
 use crate::bitstream::BitWriter;
 use crate::huffman::{build_code_lengths, HuffmanEncoder};
-use crate::lz77::{tokenize, MatcherConfig, Token};
+use crate::lz77::{Matcher, MatcherConfig, Token};
 use crate::tables::{
-    distance_to_symbol, fixed_dist_lengths, fixed_litlen_lengths, length_to_symbol, CLC_ORDER,
-    END_OF_BLOCK, MAX_CLC_BITS, MAX_CODE_BITS, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
+    distance_to_symbol, fixed_codes, length_to_symbol, CLC_ORDER, DIST_CODES, END_OF_BLOCK,
+    LENGTH_CODES, MAX_CLC_BITS, MAX_CODE_BITS, NUM_CLC_SYMBOLS, NUM_DIST_SYMBOLS,
+    NUM_LITLEN_SYMBOLS,
 };
 
 /// Compression level.
@@ -39,6 +50,49 @@ const TOKENS_PER_BLOCK: usize = 100_000;
 /// Maximum bytes in a stored block (16-bit length field).
 const STORED_BLOCK_MAX: usize = 65_535;
 
+/// Reusable encoder state: the matcher's tables and the token buffer,
+/// allocated on first use.
+///
+/// The output is a function of `(data, level)` alone — an encoder that has
+/// compressed anything before produces the same bytes as a fresh one.
+#[derive(Debug, Clone, Default)]
+pub struct DeflateEncoder {
+    matcher: Matcher,
+    tokens: Vec<Token>,
+}
+
+impl DeflateEncoder {
+    /// Appends `data` as a raw DEFLATE stream to `out`, reusing `out`'s
+    /// allocation.
+    pub fn deflate_into(&mut self, data: &[u8], level: Level, out: &mut Vec<u8>) {
+        let mut writer = BitWriter::with_buffer(std::mem::take(out));
+        match level {
+            Level::Store => write_stored(&mut writer, data),
+            _ => self.write_compressed(&mut writer, data, level),
+        }
+        *out = writer.into_bytes();
+    }
+
+    fn write_compressed(&mut self, writer: &mut BitWriter, data: &[u8], level: Level) {
+        self.tokens.clear();
+        self.matcher
+            .tokenize_into(data, level.matcher(), &mut self.tokens);
+        if self.tokens.is_empty() {
+            // Empty input: emit one final fixed block containing only EOB.
+            write_fixed_block(writer, &[], true);
+            return;
+        }
+        let blocks = self.tokens.len().div_ceil(TOKENS_PER_BLOCK);
+        for (i, block) in self.tokens.chunks(TOKENS_PER_BLOCK).enumerate() {
+            let last = i == blocks - 1;
+            match level {
+                Level::Fast => write_fixed_block(writer, block, last),
+                _ => write_best_block(writer, block, last),
+            }
+        }
+    }
+}
+
 /// Compresses `data` into a raw DEFLATE stream.
 pub fn deflate_compress(data: &[u8], level: Level) -> Vec<u8> {
     let mut out = Vec::new();
@@ -47,17 +101,11 @@ pub fn deflate_compress(data: &[u8], level: Level) -> Vec<u8> {
 }
 
 /// Streaming-friendly variant of [`deflate_compress`]: appends the DEFLATE
-/// stream to `out`, reusing its allocation. This is the entry point the
-/// engine-side `DeflateBackend` recycles its per-worker encoder scratch
-/// through — steady-state compression of a stream of members touches the
-/// allocator only when a member outgrows the buffer.
+/// stream to `out`, reusing its allocation. One-shot: the encoder state is
+/// built and dropped inside the call; a caller with many members to
+/// compress keeps a [`DeflateEncoder`] instead.
 pub fn deflate_compress_into(data: &[u8], level: Level, out: &mut Vec<u8>) {
-    let mut writer = BitWriter::with_buffer(std::mem::take(out));
-    match level {
-        Level::Store => write_stored(&mut writer, data),
-        _ => write_compressed(&mut writer, data, level),
-    }
-    *out = writer.into_bytes();
+    DeflateEncoder::default().deflate_into(data, level, out);
 }
 
 fn write_stored(writer: &mut BitWriter, data: &[u8]) {
@@ -69,10 +117,9 @@ fn write_stored(writer: &mut BitWriter, data: &[u8]) {
         writer.write_bytes(&0xFFFFu16.to_le_bytes());
         return;
     }
-    let chunks: Vec<&[u8]> = data.chunks(STORED_BLOCK_MAX).collect();
-    for (i, chunk) in chunks.iter().enumerate() {
-        let last = i == chunks.len() - 1;
-        writer.write_bits(last as u32, 1);
+    let blocks = data.len().div_ceil(STORED_BLOCK_MAX);
+    for (i, chunk) in data.chunks(STORED_BLOCK_MAX).enumerate() {
+        writer.write_bits((i == blocks - 1) as u32, 1);
         writer.write_bits(0b00, 2);
         writer.align_to_byte();
         let len = chunk.len() as u16;
@@ -82,40 +129,21 @@ fn write_stored(writer: &mut BitWriter, data: &[u8]) {
     }
 }
 
-fn write_compressed(writer: &mut BitWriter, data: &[u8], level: Level) {
-    let tokens = tokenize(data, level.matcher());
-    if tokens.is_empty() {
-        // Empty input: emit one final fixed block containing only EOB.
-        write_fixed_block(writer, &[], true);
-        return;
-    }
-    let blocks: Vec<&[Token]> = tokens.chunks(TOKENS_PER_BLOCK).collect();
-    for (i, block) in blocks.iter().enumerate() {
-        let last = i == blocks.len() - 1;
-        match level {
-            Level::Fast => write_fixed_block(writer, block, last),
-            _ => write_best_block(writer, block, last),
-        }
-    }
-}
-
-/// Symbol frequency tables for one block.
+/// Symbol frequency tables for one block (end-of-block included).
 struct BlockStats {
-    litlen_freqs: Vec<u64>,
-    dist_freqs: Vec<u64>,
+    litlen_freqs: [u64; NUM_LITLEN_SYMBOLS],
+    dist_freqs: [u64; NUM_DIST_SYMBOLS],
 }
 
 fn block_stats(tokens: &[Token]) -> BlockStats {
-    let mut litlen_freqs = vec![0u64; NUM_LITLEN_SYMBOLS];
-    let mut dist_freqs = vec![0u64; NUM_DIST_SYMBOLS];
+    let mut litlen_freqs = [0u64; NUM_LITLEN_SYMBOLS];
+    let mut dist_freqs = [0u64; NUM_DIST_SYMBOLS];
     for token in tokens {
         match *token {
             Token::Literal(b) => litlen_freqs[b as usize] += 1,
             Token::Match { length, distance } => {
-                let (sym, _, _) = length_to_symbol(length as usize);
-                litlen_freqs[sym as usize] += 1;
-                let (dsym, _, _) = distance_to_symbol(distance as usize);
-                dist_freqs[dsym as usize] += 1;
+                litlen_freqs[length_to_symbol(length as usize).0 as usize] += 1;
+                dist_freqs[distance_to_symbol(distance as usize).0 as usize] += 1;
             }
         }
     }
@@ -126,22 +154,19 @@ fn block_stats(tokens: &[Token]) -> BlockStats {
     }
 }
 
-/// Cost in bits of encoding the tokens with the given code lengths
-/// (excluding any block header).
-fn body_cost(tokens: &[Token], litlen_lengths: &[u8], dist_lengths: &[u8]) -> u64 {
-    let mut bits = 0u64;
-    for token in tokens {
-        match *token {
-            Token::Literal(b) => bits += litlen_lengths[b as usize] as u64,
-            Token::Match { length, distance } => {
-                let (sym, extra_bits, _) = length_to_symbol(length as usize);
-                bits += litlen_lengths[sym as usize] as u64 + extra_bits as u64;
-                let (dsym, dextra, _) = distance_to_symbol(distance as usize);
-                bits += dist_lengths[dsym as usize] as u64 + dextra as u64;
-            }
+impl BlockStats {
+    /// Cost in bits of the block's body (codes and extra bits, end-of-block
+    /// included, no header) under the given code lengths.
+    fn body_cost(&self, litlen_lengths: &[u8], dist_lengths: &[u8]) -> u64 {
+        fn bits(freqs: &[u64], widths: impl Iterator<Item = u8>) -> u64 {
+            freqs.iter().zip(widths).map(|(&f, w)| f * w as u64).sum()
         }
+        let extra = |codes: &'static [(u16, u8)]| codes.iter().map(|&(_, extra)| extra);
+        bits(&self.litlen_freqs, litlen_lengths.iter().copied())
+            + bits(&self.litlen_freqs[257..], extra(&LENGTH_CODES))
+            + bits(&self.dist_freqs, dist_lengths.iter().copied())
+            + bits(&self.dist_freqs, extra(&DIST_CODES))
     }
-    bits + litlen_lengths[END_OF_BLOCK as usize] as u64
 }
 
 fn write_tokens(
@@ -152,39 +177,25 @@ fn write_tokens(
 ) {
     for token in tokens {
         match *token {
-            Token::Literal(b) => {
-                litlen
-                    .write(writer, b as usize)
-                    .expect("literal symbol has a code");
-            }
+            Token::Literal(b) => litlen.write(writer, b as usize),
             Token::Match { length, distance } => {
                 let (sym, extra_bits, extra) = length_to_symbol(length as usize);
-                litlen
-                    .write(writer, sym as usize)
-                    .expect("length symbol has a code");
-                if extra_bits > 0 {
-                    writer.write_bits(extra as u32, extra_bits as u32);
-                }
+                litlen.write(writer, sym as usize);
+                writer.write_bits(extra as u32, extra_bits as u32);
                 let (dsym, dextra_bits, dextra) = distance_to_symbol(distance as usize);
-                dist.write(writer, dsym as usize)
-                    .expect("distance symbol has a code");
-                if dextra_bits > 0 {
-                    writer.write_bits(dextra as u32, dextra_bits as u32);
-                }
+                dist.write(writer, dsym as usize);
+                writer.write_bits(dextra as u32, dextra_bits as u32);
             }
         }
     }
-    litlen
-        .write(writer, END_OF_BLOCK as usize)
-        .expect("end-of-block has a code");
+    litlen.write(writer, END_OF_BLOCK as usize);
 }
 
 fn write_fixed_block(writer: &mut BitWriter, tokens: &[Token], last: bool) {
-    let litlen = HuffmanEncoder::from_lengths(&fixed_litlen_lengths()).expect("fixed code valid");
-    let dist = HuffmanEncoder::from_lengths(&fixed_dist_lengths()).expect("fixed code valid");
+    let fixed = fixed_codes();
     writer.write_bits(last as u32, 1);
     writer.write_bits(0b01, 2);
-    write_tokens(writer, tokens, &litlen, &dist);
+    write_tokens(writer, tokens, &fixed.litlen, &fixed.dist);
 }
 
 /// Chooses between a fixed and a dynamic block based on exact bit cost.
@@ -197,22 +208,20 @@ fn write_best_block(writer: &mut BitWriter, tokens: &[Token], last: bool) {
         dist_lengths[0] = 1;
     }
 
+    let fixed = fixed_codes();
     let dynamic_header = DynamicHeader::build(&litlen_lengths, &dist_lengths);
-    let dynamic_cost = dynamic_header.cost_bits + body_cost(tokens, &litlen_lengths, &dist_lengths);
-    let fixed_cost = body_cost(tokens, &fixed_litlen_lengths(), &fixed_dist_lengths());
+    let dynamic_cost = dynamic_header.cost_bits + stats.body_cost(&litlen_lengths, &dist_lengths);
+    let fixed_cost = stats.body_cost(fixed.litlen.lengths(), fixed.dist.lengths());
 
-    writer.write_bits(last as u32, 1);
     if dynamic_cost < fixed_cost {
+        writer.write_bits(last as u32, 1);
         writer.write_bits(0b10, 2);
         dynamic_header.write(writer);
         let litlen = HuffmanEncoder::from_lengths(&litlen_lengths).expect("built lengths valid");
         let dist = HuffmanEncoder::from_lengths(&dist_lengths).expect("built lengths valid");
         write_tokens(writer, tokens, &litlen, &dist);
     } else {
-        writer.write_bits(0b01, 2);
-        let litlen = HuffmanEncoder::from_lengths(&fixed_litlen_lengths()).expect("fixed valid");
-        let dist = HuffmanEncoder::from_lengths(&fixed_dist_lengths()).expect("fixed valid");
-        write_tokens(writer, tokens, &litlen, &dist);
+        write_fixed_block(writer, tokens, last);
     }
 }
 
@@ -253,7 +262,7 @@ impl DynamicHeader {
         combined.extend_from_slice(&dist_lengths[..hdist]);
         let cl_symbols = rle_code_lengths(&combined);
 
-        let mut clc_freqs = vec![0u64; 19];
+        let mut clc_freqs = [0u64; NUM_CLC_SYMBOLS];
         for s in &cl_symbols {
             clc_freqs[s.symbol as usize] += 1;
         }
@@ -291,11 +300,8 @@ impl DynamicHeader {
         }
         let clc = HuffmanEncoder::from_lengths(&self.clc_lengths).expect("clc lengths valid");
         for s in &self.cl_symbols {
-            clc.write(writer, s.symbol as usize)
-                .expect("cl symbol has a code");
-            if s.extra_bits > 0 {
-                writer.write_bits(s.extra as u32, s.extra_bits as u32);
-            }
+            clc.write(writer, s.symbol as usize);
+            writer.write_bits(s.extra as u32, s.extra_bits as u32);
         }
     }
 }

@@ -6,7 +6,7 @@
 //! with CRC-32 and the uncompressed length modulo 2³².
 
 use crate::crc32::crc32;
-use crate::deflate::{deflate_compress_into, Level};
+use crate::deflate::{DeflateEncoder, Level};
 use crate::error::{DeflateError, Result};
 use crate::inflate::inflate_into;
 
@@ -32,22 +32,31 @@ pub fn gzip_compress(data: &[u8], level: Level) -> Vec<u8> {
 /// Streaming-friendly variant of [`gzip_compress`]: appends one gzip member
 /// to `out`, reusing its allocation (header and trailer included). Repeated
 /// calls produce a valid multi-member stream; clearing `out` between calls
-/// gives a per-member scratch buffer that a long-running compressor — such
-/// as the engine-side `DeflateBackend` — can recycle indefinitely.
+/// gives a per-member scratch buffer. One-shot: a long-running compressor —
+/// such as the engine-side `DeflateBackend` — keeps a [`DeflateEncoder`]
+/// and calls [`DeflateEncoder::gzip_into`], which is the same code.
 pub fn gzip_compress_into(data: &[u8], level: Level, out: &mut Vec<u8>) {
-    out.extend_from_slice(&MAGIC);
-    out.push(CM_DEFLATE);
-    out.push(0); // FLG: no optional fields
-    out.extend_from_slice(&0u32.to_le_bytes()); // MTIME unknown
-    out.push(match level {
-        Level::Best => 2,
-        Level::Fast | Level::Store => 4,
-        Level::Default => 0,
-    }); // XFL
-    out.push(255); // OS = unknown
-    deflate_compress_into(data, level, out);
-    out.extend_from_slice(&crc32(data).to_le_bytes());
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    DeflateEncoder::default().gzip_into(data, level, out);
+}
+
+impl DeflateEncoder {
+    /// Appends `data` as one gzip member to `out`, reusing `out`'s
+    /// allocation and this encoder's tables.
+    pub fn gzip_into(&mut self, data: &[u8], level: Level, out: &mut Vec<u8>) {
+        out.extend_from_slice(&MAGIC);
+        out.push(CM_DEFLATE);
+        out.push(0); // FLG: no optional fields
+        out.extend_from_slice(&0u32.to_le_bytes()); // MTIME unknown
+        out.push(match level {
+            Level::Best => 2,
+            Level::Fast | Level::Store => 4,
+            Level::Default => 0,
+        }); // XFL
+        out.push(255); // OS = unknown
+        self.deflate_into(data, level, out);
+        out.extend_from_slice(&crc32(data).to_le_bytes());
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    }
 }
 
 /// Decompresses a single-member gzip file, verifying the CRC-32 and length
@@ -281,6 +290,27 @@ mod tests {
         assert_eq!(out.len(), first.len() + second.len());
         assert_eq!(&out[..n1], &first[..]);
         assert_eq!(&out[n1..], &second[..]);
+    }
+
+    #[test]
+    fn a_reused_encoder_writes_the_members_a_fresh_one_does() {
+        let inputs: [&[u8]; 5] = [
+            &b"first member first member first member".repeat(20),
+            b"",
+            &(0..9000u32)
+                .map(|i| (i * 7 % 9) as u8 + b'a')
+                .collect::<Vec<u8>>(),
+            b"ab",
+            &b"first member first member first member".repeat(20),
+        ];
+        let mut encoder = DeflateEncoder::default();
+        for level in [Level::Store, Level::Fast, Level::Default, Level::Best] {
+            for data in inputs {
+                let mut member = Vec::new();
+                encoder.gzip_into(data, level, &mut member);
+                assert_eq!(member, gzip_compress(data, level), "level {level:?}");
+            }
+        }
     }
 
     #[test]

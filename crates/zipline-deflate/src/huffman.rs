@@ -5,86 +5,128 @@
 //! to choose lengths from symbol frequencies under a maximum-length
 //! constraint (15 bits for literal/length and distance codes, 7 bits for the
 //! code-length code); [`build_code_lengths`] implements the package-merge
-//! algorithm, which produces optimal length-limited codes.
+//! algorithm (Larmore–Hirschberg), which produces optimal length-limited
+//! codes.
+//!
+//! # Package-merge over weights only
+//!
+//! Level 1 is the *coins*: the active symbols, stably sorted by frequency.
+//! Every further level is the stable merge of the coins with the *packages*
+//! of the level below (the sums of its adjacent pairs), coins first on
+//! equal weight. A symbol's code length is the number of times it occurs in
+//! the first `2(n - 1)` items of the top level, packages expanded.
+//!
+//! No item has to remember its symbols: a prefix of a level is a prefix of
+//! the coins plus a prefix of the packages (the merge keeps both in order),
+//! and the first `p` packages are the first `2p` items of the level below.
+//! The selection is therefore a prefix on every level, and walking down
+//! from the top needs, per level, only how many selected items are coins —
+//! that many of the cheapest symbols gain one bit. `O(n · max_bits)`.
+//!
+//! **Bit-identity contract.** Among equally cheap length assignments the
+//! tie rule (coins before packages, symbols in index order) picks one, and
+//! the compressed bytes depend on which. The tests hold this against the
+//! symbol-multiset formulation it replaced on tables full of ties and
+//! zeros; `tests/deflate_golden.rs` pins the bytes.
 
-use crate::bitstream::{BitReader, BitWriter};
+use crate::bitstream::{reverse_bits, BitReader, BitWriter};
 use crate::error::{DeflateError, Result};
 
 /// Builds optimal length-limited code lengths from symbol frequencies using
-/// the package-merge algorithm.
+/// the package-merge algorithm (see the module docs).
 ///
 /// Symbols with zero frequency receive length 0 (they are not part of the
 /// code). If only one symbol has a non-zero frequency it receives length 1,
 /// as DEFLATE cannot express a zero-bit code.
 pub fn build_code_lengths(freqs: &[u64], max_bits: u32) -> Vec<u8> {
-    let active: Vec<usize> = freqs
+    let mut lengths = vec![0u8; freqs.len()];
+    // (weight, symbol), stably sorted by weight: level 1 of the merge.
+    let mut coins: Vec<(u64, usize)> = freqs
         .iter()
         .enumerate()
         .filter(|(_, &f)| f > 0)
-        .map(|(i, _)| i)
+        .map(|(symbol, &f)| (f, symbol))
         .collect();
-    let mut lengths = vec![0u8; freqs.len()];
-    match active.len() {
+    let n = coins.len();
+    match n {
         0 => return lengths,
         1 => {
-            lengths[active[0]] = 1;
+            lengths[coins[0].1] = 1;
             return lengths;
         }
         _ => {}
     }
     assert!(
-        (1u64 << max_bits) >= active.len() as u64,
-        "cannot fit {} symbols into {max_bits}-bit codes",
-        active.len()
+        (1u64 << max_bits) >= n as u64,
+        "cannot fit {n} symbols into {max_bits}-bit codes"
     );
+    coins.sort_by_key(|&(weight, _)| weight);
 
-    // Package-merge. An item is (weight, multiset of original symbols).
-    type Item = (u64, Vec<usize>);
-    let coins: Vec<Item> = {
-        let mut c: Vec<Item> = active.iter().map(|&s| (freqs[s], vec![s])).collect();
-        c.sort_by_key(|(w, _)| *w);
-        c
-    };
-
-    let mut merged: Vec<Item> = coins.clone();
-    for _level in 1..max_bits {
-        // Package adjacent pairs of the current list…
-        let mut packages: Vec<Item> = Vec::with_capacity(merged.len() / 2);
-        let mut iter = merged.chunks_exact(2);
-        for pair in &mut iter {
-            let mut symbols = pair[0].1.clone();
-            symbols.extend_from_slice(&pair[1].1);
-            packages.push((pair[0].0 + pair[1].0, symbols));
+    // Levels 2..=max_bits. Only the newest level's weights are kept; of
+    // every level, which items are packages (`level_ends[i]` closes level
+    // `i + 2` in `is_package`).
+    let mut below: Vec<u64> = coins.iter().map(|&(weight, _)| weight).collect();
+    let mut level: Vec<u64> = Vec::with_capacity(2 * n);
+    let mut is_package: Vec<bool> = Vec::with_capacity(2 * n * max_bits as usize);
+    let mut level_ends: Vec<usize> = Vec::with_capacity(max_bits as usize);
+    for _ in 1..max_bits {
+        level.clear();
+        let mut coin = 0;
+        for pair in below.chunks_exact(2) {
+            let package = pair[0] + pair[1];
+            while coin < n && coins[coin].0 <= package {
+                level.push(coins[coin].0);
+                is_package.push(false);
+                coin += 1;
+            }
+            level.push(package);
+            is_package.push(true);
         }
-        // …and merge them with a fresh set of coins.
-        merged = coins.clone();
-        merged.extend(packages);
-        merged.sort_by_key(|(w, _)| *w);
+        level.extend(coins[coin..].iter().map(|&(weight, _)| weight));
+        is_package.resize(is_package.len() + (n - coin), false);
+        level_ends.push(is_package.len());
+        std::mem::swap(&mut below, &mut level);
     }
 
-    // The first 2(n-1) items of the final list define the code lengths.
-    let take = 2 * (active.len() - 1);
-    for (_, symbols) in merged.iter().take(take) {
-        for &s in symbols {
-            lengths[s] += 1;
+    // Walk down from the top level: of the `take` cheapest items, the coins
+    // give their symbols one bit each and the packages select twice their
+    // number on the level below.
+    let mut take = 2 * (n - 1);
+    for i in (0..level_ends.len()).rev() {
+        let start = if i == 0 { 0 } else { level_ends[i - 1] };
+        let flags = &is_package[start..level_ends[i]];
+        take = take.min(flags.len());
+        let packages = flags[..take].iter().filter(|&&package| package).count();
+        for &(_, symbol) in &coins[..take - packages] {
+            lengths[symbol] += 1;
         }
+        take = 2 * packages;
+    }
+    for &(_, symbol) in &coins[..take.min(n)] {
+        lengths[symbol] += 1;
     }
     lengths
 }
 
 /// Canonical Huffman encoder: maps symbols to `(code, length)` pairs.
+///
+/// Codes are stored bit-reversed, ready for the LSB-first
+/// [`BitWriter::write_bits`].
 #[derive(Debug, Clone)]
 pub struct HuffmanEncoder {
-    codes: Vec<u32>,
+    reversed: Vec<u32>,
     lengths: Vec<u8>,
 }
 
 impl HuffmanEncoder {
     /// Builds the canonical codes for the given lengths.
     pub fn from_lengths(lengths: &[u8]) -> Result<Self> {
-        let codes = assign_canonical_codes(lengths)?;
+        let mut reversed = assign_canonical_codes(lengths)?;
+        for (code, &len) in reversed.iter_mut().zip(lengths) {
+            *code = reverse_bits(*code, len as u32);
+        }
         Ok(Self {
-            codes,
+            reversed,
             lengths: lengths.to_vec(),
         })
     }
@@ -104,16 +146,13 @@ impl HuffmanEncoder {
         self.lengths[symbol]
     }
 
-    /// Writes the code for `symbol` into the bit stream.
-    pub fn write(&self, writer: &mut BitWriter, symbol: usize) -> Result<()> {
+    /// Writes the code for `symbol` into the bit stream. The symbol must
+    /// have a code: callers build the encoder from the histogram of the
+    /// very symbols they then write.
+    pub fn write(&self, writer: &mut BitWriter, symbol: usize) {
         let len = self.lengths[symbol];
-        if len == 0 {
-            return Err(DeflateError::Corrupt(format!(
-                "attempt to encode symbol {symbol} which has no code"
-            )));
-        }
-        writer.write_code(self.codes[symbol], len as u32);
-        Ok(())
+        debug_assert!(len != 0, "symbol {symbol} has no code");
+        writer.write_bits(self.reversed[symbol], len as u32);
     }
 }
 
@@ -255,6 +294,79 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The formulation [`build_code_lengths`] replaced, kept as the
+    /// reference for its tie-breaking: every item carries the multiset of
+    /// symbols it is made of, and each level is a stable sort of the coins
+    /// followed by the packages.
+    fn multiset_package_merge(freqs: &[u64], max_bits: u32) -> Vec<u8> {
+        let active: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+        let mut lengths = vec![0u8; freqs.len()];
+        if active.len() < 2 {
+            active.iter().for_each(|&s| lengths[s] = 1);
+            return lengths;
+        }
+        type Item = (u64, Vec<usize>);
+        let mut coins: Vec<Item> = active.iter().map(|&s| (freqs[s], vec![s])).collect();
+        coins.sort_by_key(|(w, _)| *w);
+        let mut merged = coins.clone();
+        for _ in 1..max_bits {
+            let packages: Vec<Item> = merged
+                .chunks_exact(2)
+                .map(|pair| {
+                    (
+                        pair[0].0 + pair[1].0,
+                        [&pair[0].1[..], &pair[1].1[..]].concat(),
+                    )
+                })
+                .collect();
+            merged = coins.clone();
+            merged.extend(packages);
+            merged.sort_by_key(|(w, _)| *w);
+        }
+        for (_, symbols) in merged.iter().take(2 * (active.len() - 1)) {
+            for &s in symbols {
+                lengths[s] += 1;
+            }
+        }
+        lengths
+    }
+
+    #[test]
+    fn weight_only_merge_matches_the_multiset_merge_on_edge_tables() {
+        let mut tables: Vec<Vec<u64>> = vec![
+            vec![1; 286],
+            vec![1; 128],
+            vec![7; 19],
+            (0..286).map(|i| 1 << (i % 3)).collect(),
+            (0..286)
+                .map(|i| if i % 5 == 0 { 0 } else { 1 + i % 2 })
+                .collect(),
+            (1..=30).collect(),
+            (0..40).map(|i| 1u64 << i).collect(),
+            vec![
+                1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
+            ],
+            vec![5, 5],
+            vec![0, 9, 0, 9, 0, 9],
+        ];
+        for n in 2..=19 {
+            tables.push(vec![3; n]);
+            tables.push((0..n as u64).map(|i| 1 + i / 2).collect());
+        }
+        for freqs in &tables {
+            for max_bits in [7u32, 15] {
+                let active = freqs.iter().filter(|&&f| f > 0).count() as u64;
+                if active <= 1 << max_bits {
+                    assert_eq!(
+                        build_code_lengths(freqs, max_bits),
+                        multiset_package_merge(freqs, max_bits),
+                        "max_bits {max_bits}, freqs {freqs:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn rfc_example_canonical_codes() {
         // RFC 1951 §3.2.2 example: lengths (3,3,3,3,3,2,4,4) produce codes
@@ -263,7 +375,8 @@ mod tests {
         let enc = HuffmanEncoder::from_lengths(&lengths).unwrap();
         let expected = [0b010, 0b011, 0b100, 0b101, 0b110, 0b00, 0b1110, 0b1111];
         for (sym, &code) in expected.iter().enumerate() {
-            assert_eq!(enc.codes[sym], code, "symbol {sym}");
+            let canonical = reverse_bits(enc.reversed[sym], lengths[sym] as u32);
+            assert_eq!(canonical, code, "symbol {sym}");
         }
     }
 
@@ -275,7 +388,7 @@ mod tests {
         let symbols = [0usize, 5, 7, 3, 6, 1, 2, 4, 5, 5, 0];
         let mut w = BitWriter::new();
         for &s in &symbols {
-            enc.write(&mut w, s).unwrap();
+            enc.write(&mut w, s);
         }
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
@@ -344,7 +457,7 @@ mod tests {
         let dec = HuffmanDecoder::from_lengths(&[1, 0, 0]).unwrap();
         let mut w = BitWriter::new();
         let enc = HuffmanEncoder::from_lengths(&[1, 0, 0]).unwrap();
-        enc.write(&mut w, 0).unwrap();
+        enc.write(&mut w, 0);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         assert_eq!(dec.decode(&mut r).unwrap(), 0);
@@ -352,11 +465,15 @@ mod tests {
 
     #[test]
     fn writing_an_uncoded_symbol_fails() {
+        // An uncoded symbol is an encoder bug (lengths come from the
+        // histogram of the symbols written), caught where assertions are on.
         let enc = HuffmanEncoder::from_lengths(&[1, 1, 0]).unwrap();
-        let mut w = BitWriter::new();
-        assert!(enc.write(&mut w, 2).is_err());
         assert_eq!(enc.length(2), 0);
         assert_eq!(enc.lengths().len(), 3);
+        if cfg!(debug_assertions) {
+            let attempt = std::panic::catch_unwind(|| enc.write(&mut BitWriter::new(), 2));
+            assert!(attempt.is_err());
+        }
     }
 
     #[test]
@@ -389,12 +506,32 @@ mod tests {
                 lengths.iter().enumerate().filter(|(_, &l)| l > 0).map(|(s, _)| s).collect();
             let mut w = BitWriter::new();
             for &s in active.iter().cycle().take(200) {
-                enc.write(&mut w, s).unwrap();
+                enc.write(&mut w, s);
             }
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);
             for &s in active.iter().cycle().take(200) {
                 prop_assert_eq!(dec.decode(&mut r).unwrap() as usize, s);
+            }
+        }
+
+        /// Ties are the only place where equal *cost* is not equal
+        /// *lengths*: frequencies from a tiny range, many of them zero.
+        #[test]
+        fn weight_only_merge_matches_the_multiset_merge(
+            freqs in proptest::collection::vec(0u64..4, 2..=286),
+            spread in proptest::collection::vec(0u64..1000, 2..=286),
+            wide in any::<bool>(),
+        ) {
+            let freqs = if wide { spread } else { freqs };
+            let active = freqs.iter().filter(|&&f| f > 0).count();
+            for max_bits in [7u32, 15] {
+                if active <= 1 << max_bits {
+                    prop_assert_eq!(
+                        build_code_lengths(&freqs, max_bits),
+                        multiset_package_merge(&freqs, max_bits)
+                    );
+                }
             }
         }
 

@@ -4,8 +4,7 @@ use crate::bitstream::BitReader;
 use crate::error::{DeflateError, Result};
 use crate::huffman::HuffmanDecoder;
 use crate::tables::{
-    fixed_dist_lengths, fixed_litlen_lengths, symbol_to_distance, symbol_to_length, CLC_ORDER,
-    END_OF_BLOCK, WINDOW_SIZE,
+    fixed_codes, symbol_to_distance, symbol_to_length, CLC_ORDER, END_OF_BLOCK, WINDOW_SIZE,
 };
 
 /// Decompresses a raw DEFLATE stream.
@@ -35,9 +34,9 @@ pub fn inflate_into(data: &[u8], out: &mut Vec<u8>) -> Result<usize> {
         match btype {
             0b00 => inflate_stored(&mut reader, out)?,
             0b01 => {
-                let litlen = HuffmanDecoder::from_lengths(&fixed_litlen_lengths())?;
-                let dist = HuffmanDecoder::from_lengths(&fixed_dist_lengths())?;
-                inflate_block(&mut reader, out, start, &litlen, &dist)?;
+                let fixed = fixed_codes();
+                let (litlen, dist) = (&fixed.litlen_decoder, &fixed.dist_decoder);
+                inflate_block(&mut reader, out, start, litlen, dist)?;
             }
             0b10 => {
                 let (litlen, dist) = read_dynamic_tables(&mut reader)?;
@@ -224,15 +223,13 @@ mod tests {
         // Fixed code for length symbol 257 (len 3) is 7 bits: 0000001;
         // distance symbol 0 is 5 bits: 00000.
         use crate::bitstream::BitWriter;
-        use crate::huffman::HuffmanEncoder;
-        let litlen = HuffmanEncoder::from_lengths(&crate::tables::fixed_litlen_lengths()).unwrap();
-        let dist = HuffmanEncoder::from_lengths(&crate::tables::fixed_dist_lengths()).unwrap();
+        let fixed = fixed_codes();
         let mut w = BitWriter::new();
         w.write_bits(1, 1);
         w.write_bits(0b01, 2);
-        litlen.write(&mut w, 257).unwrap();
-        dist.write(&mut w, 0).unwrap();
-        litlen.write(&mut w, 256).unwrap();
+        fixed.litlen.write(&mut w, 257);
+        fixed.dist.write(&mut w, 0);
+        fixed.litlen.write(&mut w, 256);
         let stream = w.into_bytes();
         let err = inflate_decompress(&stream).unwrap_err();
         assert!(matches!(err, DeflateError::Corrupt(_)));

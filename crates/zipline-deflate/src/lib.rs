@@ -11,6 +11,22 @@
 //! run in a Tofino data plane — is precisely why this implementation lives
 //! on the host side of the benchmark harness and not in a switch program.
 //!
+//! # Encoder structure and the bit-identity contract
+//!
+//! The encoder is built like a production deflate — a reject-first,
+//! word-measuring hash-chain matcher over reusable tables ([`lz77`]),
+//! package-merge over weights only ([`huffman`]), a table-driven block
+//! writer that costs the fixed and the dynamic form from the block's
+//! histograms ([`deflate`], [`tables`]) and a slicing-by-8 CRC ([`crc32`]) —
+//! but *what* it emits is fixed: for a given input and [`Level`], the
+//! tokens, the code lengths (ties included) and therefore every output
+//! byte are part of the crate's format. The engine's wire ratios, the auto
+//! router's decisions and stores written by earlier builds all depend on
+//! them, and `tests/deflate_golden.rs` in the workspace root pins them. A
+//! caller that compresses many members keeps a [`DeflateEncoder`];
+//! [`gzip_compress_into`] and [`deflate_compress_into`] are the one-shot
+//! wrappers over the same code.
+//!
 //! # Example
 //!
 //! ```
@@ -31,7 +47,7 @@ pub mod inflate;
 pub mod lz77;
 pub mod tables;
 
-pub use deflate::{deflate_compress, deflate_compress_into, Level};
+pub use deflate::{deflate_compress, deflate_compress_into, DeflateEncoder, Level};
 pub use error::DeflateError;
 pub use gzip::{gzip_compress, gzip_compress_into, gzip_decompress, gzip_decompress_into};
 pub use inflate::{inflate_decompress, inflate_into};

@@ -1,5 +1,15 @@
 //! Fixed tables from RFC 1951: length/distance code mappings and the fixed
-//! Huffman code lengths.
+//! Huffman code.
+//!
+//! The encoder maps a match length or distance to its symbol by table
+//! lookup ([`length_to_symbol`], [`distance_to_symbol`]); the tables are
+//! derived from [`LENGTH_CODES`] and [`DIST_CODES`] at compile time. The
+//! fixed Huffman code is built once per process ([`fixed_codes`]) and shared
+//! by the block writer and the decoder.
+
+use std::sync::OnceLock;
+
+use crate::huffman::{HuffmanDecoder, HuffmanEncoder};
 
 /// Number of literal/length symbols (0–285).
 pub const NUM_LITLEN_SYMBOLS: usize = 286;
@@ -92,21 +102,45 @@ pub const DIST_CODES: [(u16, u8); 30] = [
     (24577, 13),
 ];
 
+/// Index of the last entry of `codes` whose base is not above `value`.
+const fn code_index(codes: &[(u16, u8)], value: usize) -> u8 {
+    let mut idx = 0;
+    while idx + 1 < codes.len() && codes[idx + 1].0 as usize <= value {
+        idx += 1;
+    }
+    idx as u8
+}
+
+/// [`LENGTH_CODES`] index of every match length (3..=258); 258 lands on
+/// code 285 (0 extra bits), not on 284 + 31.
+const LENGTH_INDEX: [u8; MAX_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH + 1];
+    let mut length = MIN_MATCH;
+    while length <= MAX_MATCH {
+        table[length] = code_index(&LENGTH_CODES, length);
+        length += 1;
+    }
+    table
+};
+
+/// [`DIST_CODES`] index of every distance, zlib style: distances up to 256
+/// index the first half by `distance - 1`; longer ones, whose codes all
+/// carry at least 7 extra bits, the second half by `(distance - 1) >> 7`.
+const DIST_INDEX: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut slot = 0;
+    while slot < 512 {
+        let distance = if slot < 256 { slot } else { (slot - 256) << 7 } + 1;
+        table[slot] = code_index(&DIST_CODES, distance);
+        slot += 1;
+    }
+    table
+};
+
 /// Maps a match length (3..=258) to `(symbol, extra bits, extra value)`.
 pub fn length_to_symbol(length: usize) -> (u16, u8, u16) {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&length));
-    // Find the last code whose base is <= length.
-    let mut idx = LENGTH_CODES.len() - 1;
-    for (i, (base, _)) in LENGTH_CODES.iter().enumerate() {
-        if (*base as usize) > length {
-            idx = i - 1;
-            break;
-        }
-    }
-    // Length 258 maps to code 285 with 0 extra bits (not 284 + extra).
-    if length == MAX_MATCH {
-        idx = LENGTH_CODES.len() - 1;
-    }
+    let idx = LENGTH_INDEX[length] as usize;
     let (base, extra_bits) = LENGTH_CODES[idx];
     (
         257 + idx as u16,
@@ -118,13 +152,11 @@ pub fn length_to_symbol(length: usize) -> (u16, u8, u16) {
 /// Maps a distance (1..=32768) to `(symbol, extra bits, extra value)`.
 pub fn distance_to_symbol(distance: usize) -> (u16, u8, u16) {
     debug_assert!((1..=WINDOW_SIZE).contains(&distance));
-    let mut idx = DIST_CODES.len() - 1;
-    for (i, (base, _)) in DIST_CODES.iter().enumerate() {
-        if (*base as usize) > distance {
-            idx = i - 1;
-            break;
-        }
-    }
+    let idx = if distance <= 256 {
+        DIST_INDEX[distance - 1]
+    } else {
+        DIST_INDEX[256 + ((distance - 1) >> 7)]
+    } as usize;
     let (base, extra_bits) = DIST_CODES[idx];
     (idx as u16, extra_bits, (distance - base as usize) as u16)
 }
@@ -160,9 +192,56 @@ pub fn fixed_dist_lengths() -> Vec<u8> {
     vec![5u8; 32]
 }
 
+/// The fixed Huffman code of RFC 1951 §3.2.6, both directions.
+#[derive(Debug)]
+pub struct FixedCodes {
+    /// Literal/length encoder.
+    pub litlen: HuffmanEncoder,
+    /// Distance encoder.
+    pub dist: HuffmanEncoder,
+    /// Literal/length decoder.
+    pub litlen_decoder: HuffmanDecoder,
+    /// Distance decoder.
+    pub dist_decoder: HuffmanDecoder,
+}
+
+/// The fixed Huffman code, built on first use and shared from then on.
+pub fn fixed_codes() -> &'static FixedCodes {
+    static FIXED: OnceLock<FixedCodes> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        let (litlen, dist) = (fixed_litlen_lengths(), fixed_dist_lengths());
+        FixedCodes {
+            litlen: HuffmanEncoder::from_lengths(&litlen).expect("fixed code is valid"),
+            dist: HuffmanEncoder::from_lengths(&dist).expect("fixed code is valid"),
+            litlen_decoder: HuffmanDecoder::from_lengths(&litlen).expect("fixed code is valid"),
+            dist_decoder: HuffmanDecoder::from_lengths(&dist).expect("fixed code is valid"),
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The linear searches the lookup tables replaced.
+    fn searched(codes: &[(u16, u8)], value: usize) -> usize {
+        codes
+            .iter()
+            .rposition(|&(base, _)| base as usize <= value)
+            .expect("value is at least the first base")
+    }
+
+    #[test]
+    fn lookup_tables_match_a_search_of_the_code_tables() {
+        for length in MIN_MATCH..=MAX_MATCH {
+            let expected = searched(&LENGTH_CODES, length);
+            assert_eq!(length_to_symbol(length).0 as usize, 257 + expected);
+        }
+        for distance in 1..=WINDOW_SIZE {
+            let expected = searched(&DIST_CODES, distance);
+            assert_eq!(distance_to_symbol(distance).0 as usize, expected);
+        }
+    }
 
     #[test]
     fn length_symbol_boundaries() {

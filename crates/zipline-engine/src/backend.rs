@@ -58,7 +58,7 @@
 use crate::engine::EngineConfig;
 use crate::registry::{CodecId, CODEC_DEFLATE, CODEC_PASSTHROUGH};
 use crate::shard::{DictionaryDelta, DictionarySnapshot, DictionaryState, ShardStats};
-use zipline_deflate::Level;
+use zipline_deflate::{DeflateEncoder, Level};
 use zipline_gd::error::{GdError, Result};
 use zipline_gd::packet::PacketType;
 use zipline_gd::stats::CompressionStats;
@@ -241,9 +241,10 @@ fn deflate_error(e: zipline_deflate::DeflateError) -> GdError {
 /// * a DEFLATE stream is inherently serial (back-references reach into the
 ///   member's own history), so the engine's worker/shard axes do not fan a
 ///   member out — output bytes are a pure function of `(data, batch
-///   boundaries)` and worker count never changes them. The per-worker
-///   encoder state this backend recycles is its member scratch pool: one
-///   buffer per in-flight batch, reused across batches;
+///   boundaries)` and worker count never changes them. What this backend
+///   recycles is the encoder's matcher tables and token buffer
+///   ([`DeflateEncoder`]) and its member scratch pool: one buffer per
+///   in-flight batch, reused across batches;
 /// * every member is self-contained (it carries its own Huffman tables), so
 ///   there is no shared decoder state to sync: the backend is delta-less
 ///   and opts out of the live-sync hooks entirely.
@@ -254,6 +255,9 @@ fn deflate_error(e: zipline_deflate::DeflateError) -> GdError {
 #[derive(Debug, Clone)]
 pub struct DeflateBackend {
     level: Level,
+    /// Reused across members; [`AutoBackend`](crate::AutoBackend) borrows
+    /// it for its prefix estimate.
+    pub(crate) encoder: DeflateEncoder,
     stats: CompressionStats,
     /// Recycled member buffers: `compress_batch` pops one, `emit_batch`
     /// returns it after serialization.
@@ -265,6 +269,7 @@ impl DeflateBackend {
     pub fn new(level: Level) -> Self {
         Self {
             level,
+            encoder: DeflateEncoder::default(),
             stats: CompressionStats::new(),
             spare: Vec::new(),
         }
@@ -309,7 +314,7 @@ impl CompressionBackend for DeflateBackend {
         if data.is_empty() {
             return Ok(member);
         }
-        zipline_deflate::gzip_compress_into(data, self.level, &mut member);
+        self.encoder.gzip_into(data, self.level, &mut member);
         self.stats.chunks_in += 1;
         self.stats.emitted_compressed += 1;
         self.stats.bytes_in += data.len() as u64;

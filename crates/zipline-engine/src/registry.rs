@@ -22,9 +22,10 @@
 //!   over the batch's serialized GD records, shipping the whole batch as
 //!   one raw payload. The Huffman pass squeezes the identifier/deviation
 //!   residue GD leaves behind.
-//! * [`AutoBackend`] — samples a prefix of every batch, probes the
-//!   registered candidates on a budget, and routes the whole batch to the
-//!   winner (with hysteresis so stable workloads don't flap). Its batches
+//! * [`AutoBackend`] — samples a prefix of a batch whenever the decision
+//!   turns on deflate's estimate, probes the registered candidates on a
+//!   budget, and routes the whole batch to the winner (with hysteresis so
+//!   stable workloads don't flap). Its batches
 //!   are the reason tags exist: consecutive batches may use different
 //!   codecs, so [`CompressionBackend::tags_batches`] is `true` and every
 //!   emitted payload carries the routed codec's id.
@@ -61,7 +62,7 @@ use crate::engine::{EngineConfig, GdBackend, GdBackendDecompressor};
 use crate::shard::{
     DictionaryDelta, DictionarySnapshot, DictionaryState, DictionaryUpdate, ShardStats,
 };
-use zipline_deflate::Level;
+use zipline_deflate::{DeflateEncoder, Level};
 use zipline_gd::codec::CompressedStream;
 use zipline_gd::error::{GdError, Result};
 use zipline_gd::packet::PacketType;
@@ -256,6 +257,7 @@ impl fmt::Debug for CodecRegistry {
 pub struct HybridGdDeflateBackend {
     gd: GdBackend,
     level: Level,
+    encoder: DeflateEncoder,
     config: EngineConfig,
     stats: CompressionStats,
     /// Recycled container/member buffers, same discipline as
@@ -270,6 +272,7 @@ impl HybridGdDeflateBackend {
         Ok(Self {
             gd: GdBackend::new(config)?,
             level,
+            encoder: DeflateEncoder::default(),
             config,
             stats: CompressionStats::new(),
             spare: Vec::new(),
@@ -322,7 +325,8 @@ impl CompressionBackend for HybridGdDeflateBackend {
             container.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             container.extend_from_slice(bytes);
         })?;
-        zipline_deflate::gzip_compress_into(&self.container, self.level, &mut member);
+        self.encoder
+            .gzip_into(&self.container, self.level, &mut member);
         self.stats.chunks_in += 1;
         self.stats.emitted_raw += 1;
         self.stats.bytes_in += data.len() as u64;
@@ -567,7 +571,9 @@ pub enum AutoBatch {
 /// Routes each batch to the codec expected to compress it best.
 ///
 /// Per batch, the candidates are costed on a budget: deflate's ratio is
-/// estimated by gzipping a prefix sample ([`AutoConfig::sample_bytes`]);
+/// estimated by gzipping a prefix sample ([`AutoConfig::sample_bytes`]) —
+/// only on the batches whose decision compares it, not during the cold
+/// start, a measurement window or a periodic probe;
 /// GD — whose ratio depends on dictionary state, not batch content alone —
 /// is estimated from an EWMA of its measured ratios, refreshed by a forced
 /// full-batch probe window every [`AutoConfig::probe_interval`] batches
@@ -631,15 +637,22 @@ impl AutoBackend {
         self.switches
     }
 
+    /// Deflate's estimated ratio on `data`: its prefix sample, gzipped.
+    /// Costs a compression, so `route` asks only where the answer decides.
+    fn deflate_estimate(&mut self, data: &[u8]) -> f64 {
+        let sample = &data[..data.len().min(self.auto.sample_bytes.max(1))];
+        self.probe_scratch.clear();
+        self.deflate
+            .encoder
+            .gzip_into(sample, Level::Fast, &mut self.probe_scratch);
+        self.probe_scratch.len() as f64 / sample.len().max(1) as f64
+    }
+
     /// Picks the codec for the next batch; see the type docs for the
     /// policy. The second element says whether a GD batch should feed the
     /// EWMA: the first GD batch after any deflate batch pays dictionary
     /// (re-)training cost and would poison the steady-state estimate.
     fn route(&mut self, data: &[u8]) -> (CodecId, bool) {
-        let sample = &data[..data.len().min(self.auto.sample_bytes.max(1))];
-        self.probe_scratch.clear();
-        zipline_deflate::gzip_compress_into(sample, Level::Fast, &mut self.probe_scratch);
-        let deflate_est = self.probe_scratch.len() as f64 / sample.len().max(1) as f64;
         let choice = match self.gd_ratio {
             // The stateful candidate has no steady-state measurement yet.
             // Batch 0 goes to deflate — GD through a cold dictionary is
@@ -659,7 +672,7 @@ impl AutoBackend {
                     // training cost for nothing.
                     CODEC_GD
                 } else if self.current == CODEC_GD {
-                    if deflate_est < gd_est * (1.0 - self.auto.hysteresis) {
+                    if self.deflate_estimate(data) < gd_est * (1.0 - self.auto.hysteresis) {
                         CODEC_DEFLATE
                     } else {
                         CODEC_GD
@@ -670,7 +683,7 @@ impl AutoBackend {
                     // route. The window spans `probe_batches` batches
                     // because the first one only re-trains the dictionary.
                     CODEC_GD
-                } else if gd_est < deflate_est * (1.0 - self.auto.hysteresis) {
+                } else if gd_est < self.deflate_estimate(data) * (1.0 - self.auto.hysteresis) {
                     CODEC_GD
                 } else {
                     CODEC_DEFLATE

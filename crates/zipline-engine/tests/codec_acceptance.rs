@@ -5,6 +5,8 @@
 //!   the sensor and DNS workloads — the router must not cost more than the
 //!   hindsight-optimal fixed choice plus its probing overhead;
 //! * the GD→deflate hybrid beats plain GD on the tracked sensor workload;
+//! * the router gzips its prefix sample only where the estimate decides, and
+//!   routes exactly as the router that gzipped it on every batch;
 //! * property test: tagged mixed-codec streams roundtrip bit-identically
 //!   through `EngineStream`, `PipelinedStream` and the durable store — the
 //!   per-batch codec tags survive every path and a `RegistryDecompressor`
@@ -107,6 +109,124 @@ fn hybrid_beats_plain_gd_on_the_sensor_workload() {
         hybrid < gd,
         "hybrid ({hybrid} B) must beat plain GD ({gd} B) on the sensor workload"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Lazy prefix estimate routes like the eager one
+// ---------------------------------------------------------------------------
+
+/// `AutoBackend`'s decision table as it stood when the router gzipped the
+/// prefix sample of *every* batch: the reference the lazy router must agree
+/// with, batch by batch.
+struct EagerRouter {
+    auto: AutoConfig,
+    current: CodecId,
+    batches: u64,
+    gd_run: u64,
+    gd_ratio: Option<f64>,
+    switches: u64,
+}
+
+impl EagerRouter {
+    fn new(auto: AutoConfig) -> Self {
+        Self {
+            auto,
+            current: CODEC_GD,
+            batches: 0,
+            gd_run: 0,
+            gd_ratio: None,
+            switches: 0,
+        }
+    }
+
+    /// The routed codec and whether the batch's measured ratio feeds the
+    /// EWMA.
+    fn route(&mut self, data: &[u8]) -> (CodecId, bool) {
+        let sample = &data[..data.len().min(self.auto.sample_bytes.max(1))];
+        let member = zipline_deflate::gzip_compress(sample, Level::Fast);
+        let deflate_est = member.len() as f64 / sample.len().max(1) as f64;
+        let choice = match self.gd_ratio {
+            None if self.batches == 0 => CODEC_DEFLATE,
+            None => CODEC_GD,
+            Some(_) if self.current == CODEC_GD && self.gd_run < self.auto.probe_batches.max(1) => {
+                CODEC_GD
+            }
+            Some(gd_est) if self.current == CODEC_GD => {
+                if deflate_est < gd_est * (1.0 - self.auto.hysteresis) {
+                    CODEC_DEFLATE
+                } else {
+                    CODEC_GD
+                }
+            }
+            Some(_) if self.batches.is_multiple_of(self.auto.probe_interval.max(1)) => CODEC_GD,
+            Some(gd_est) if gd_est < deflate_est * (1.0 - self.auto.hysteresis) => CODEC_GD,
+            Some(_) => CODEC_DEFLATE,
+        };
+        if choice != self.current {
+            self.switches += 1;
+            self.current = choice;
+        }
+        self.batches += 1;
+        let measure = choice == CODEC_GD && self.gd_run >= 1;
+        self.gd_run = if choice == CODEC_GD {
+            self.gd_run + 1
+        } else {
+            0
+        };
+        (choice, measure)
+    }
+
+    fn observe(&mut self, measured: f64) {
+        self.gd_ratio = Some(match self.gd_ratio {
+            None => measured,
+            Some(ewma) => ewma + self.auto.ewma_alpha * (measured - ewma),
+        });
+    }
+}
+
+/// The deflate estimate is computed only in the two arms of the decision
+/// that compare it; the cold start, a measurement window and the periodic
+/// probe never read it. Skipping the compression there must not move one
+/// routing decision.
+#[test]
+fn lazy_estimate_routes_every_batch_like_the_eager_router() {
+    let config = config();
+    let chunk = config.gd.chunk_bytes;
+    let mut mixes = vec![("sensor", sensor_bytes()), ("dns", dns_bytes())];
+    for seed in 0..4u64 {
+        mixes.push(("mixed", mixed_data(seed, 6, 64, chunk)));
+    }
+    let frequent_probes = AutoConfig {
+        probe_interval: 8,
+        ..AutoConfig::default()
+    };
+    for auto_config in [AutoConfig::default(), frequent_probes] {
+        for (name, data) in &mixes {
+            for batch_chunks in [16usize, 64, 256] {
+                let mut auto = AutoBackend::new(config, auto_config).unwrap();
+                let mut eager = EagerRouter::new(auto_config);
+                let mut routed = [0usize; 2];
+                for (i, batch) in data.chunks(batch_chunks * chunk).enumerate() {
+                    let (expected, measure) = eager.route(batch);
+                    let compressed = auto.compress_batch(batch).unwrap();
+                    let codec = auto.batch_codec_id(&compressed);
+                    assert_eq!(
+                        codec, expected,
+                        "{name}, {batch_chunks}-chunk batches: batch {i} routed differently"
+                    );
+                    routed[(codec == CODEC_DEFLATE) as usize] += 1;
+                    let mut wire = 0usize;
+                    auto.emit_batch(compressed, &mut |_, bytes| wire += bytes.len())
+                        .unwrap();
+                    if measure {
+                        eager.observe(wire as f64 / batch.len() as f64);
+                    }
+                }
+                assert_eq!(auto.switches(), eager.switches, "{name}: switch count");
+                assert!(routed[0] > 0 && routed[1] > 0, "{name}: both codecs ran");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
