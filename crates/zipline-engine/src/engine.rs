@@ -33,6 +33,18 @@
 //! controls partitioning, keeping output deterministic while never
 //! oversubscribing the machine.
 //!
+//! The decoder mirror ([`GdBackendDecompressor`]) replays the dictionary
+//! step of every record — same hash, same shard, same clock tick, same
+//! recency move, so identifiers resolve as they did on the compressor — and
+//! emits the chunk from a [`ChunkCache`]: a basis is turned into chunk bytes
+//! (parity CRC, bit assembly) once per identifier assignment, a reference to
+//! it is a copy, an OR of the carried bits and one bit flip, read straight
+//! off the wire bytes ([`PayloadFields`]). A slot is invalidated when its
+//! identifier is assigned a basis — learned in-band or installed by
+//! [`GdBackendDecompressor::apply_update`] — filled on the first reference
+//! after that, and read only after the dictionary has said the identifier is
+//! live, so a retired identifier's stale slot is unreachable.
+//!
 //! Construction goes through [`EngineBuilder`](crate::EngineBuilder), which
 //! validates the whole shape once at `build()`; `CompressionEngine::new` and
 //! `EngineDecompressor::new` remain as by-value conveniences.
@@ -43,14 +55,14 @@ use crate::pipelined::PipelineConfig;
 use crate::registry::{CodecId, CODEC_GD};
 use crate::shard::{
     DictionaryDelta, DictionarySnapshot, DictionaryState, DictionaryUpdate, ShardOutcome,
-    ShardStats, ShardedDictionary,
+    ShardStats, ShardedDictionary, UpdateOp,
 };
 use zipline_gd::codec::{
-    ChunkCodec, CompressedStream, DecodeScratch, EncodeScratch, EncodedChunk, Record,
+    Carried, ChunkCache, ChunkCodec, CompressedStream, EncodeScratch, EncodedChunk, Record,
 };
 use zipline_gd::config::GdConfig;
 use zipline_gd::error::{GdError, Result};
-use zipline_gd::packet::{PacketType, ZipLinePayload};
+use zipline_gd::packet::{PacketType, PayloadFields, ZipLinePayload};
 use zipline_gd::stats::CompressionStats;
 
 /// How the engine maps logical workers onto OS threads.
@@ -608,12 +620,15 @@ fn record_for_outcome(
 /// `NewBasis` records (routing by the same basis hash) so engine streams
 /// decode without out-of-band state — provided it is configured with the
 /// *same shard count* the compressor used, just as [`GdConfig`] must match.
+///
+/// Every chunk leaves through the decoder's [`ChunkCache`] (see the module
+/// docs): rebuilt from its basis once per identifier assignment, a copy, an
+/// OR and a bit flip per reference.
 #[derive(Debug)]
 pub struct GdBackendDecompressor {
-    codec: ChunkCodec,
     dict: ShardedDictionary,
     stats: CompressionStats,
-    scratch: DecodeScratch,
+    cache: ChunkCache,
     gd: GdConfig,
 }
 
@@ -623,10 +638,9 @@ impl GdBackendDecompressor {
     pub fn new(config: &EngineConfig) -> Result<Self> {
         config.validate()?;
         Ok(Self {
-            codec: ChunkCodec::new(&config.gd)?,
             dict: ShardedDictionary::for_config(&config.gd, config.shards)?,
             stats: CompressionStats::new(),
-            scratch: DecodeScratch::new(),
+            cache: ChunkCache::new(&config.gd, config.shards)?,
             gd: config.gd,
         })
     }
@@ -641,7 +655,13 @@ impl GdBackendDecompressor {
     /// type 2 payload). Used to bootstrap a decoder from reseed frames
     /// after a warm restart compacted the journal away.
     pub fn apply_update(&mut self, update: &DictionaryUpdate) -> Result<()> {
-        self.dict.apply_update(update)
+        self.dict.apply_update(update)?;
+        // A `Remove` needs nothing: the dictionary answers before the cache.
+        if let UpdateOp::Install { id, .. } = update.op {
+            let (shard, local) = self.dict.split_id(id);
+            self.cache.invalidate(shard, local);
+        }
+        Ok(())
     }
 
     /// Decompresses one record, appending the restored bytes to `out`.
@@ -651,12 +671,12 @@ impl GdBackendDecompressor {
                 extra,
                 deviation,
                 basis,
-            } => self.restore_new_basis(extra, *deviation, basis, out),
+            } => self.restore_new_basis(Carried::Record(extra), *deviation, basis, out),
             Record::Ref {
                 extra,
                 deviation,
                 id,
-            } => self.restore_ref(extra, *deviation, *id, out),
+            } => self.restore_ref(Carried::Record(extra), *deviation, *id, out),
             Record::RawTail { bytes } => {
                 out.extend_from_slice(bytes);
                 self.stats.chunks_decoded += 1;
@@ -667,7 +687,7 @@ impl GdBackendDecompressor {
 
     fn restore_new_basis(
         &mut self,
-        extra: &zipline_gd::BitVec,
+        carried: Carried<'_>,
         deviation: u64,
         basis: &zipline_gd::BitVec,
         out: &mut Vec<u8>,
@@ -677,32 +697,34 @@ impl GdBackendDecompressor {
         // identifiers.
         let hash = basis.hash_words();
         let shard = self.dict.shard_of_hash(hash);
-        self.dict.learn(shard, basis.clone(), hash)?;
-        let Self { codec, scratch, .. } = self;
-        codec.decode_parts_into(extra, deviation, basis, scratch, out)?;
+        let outcome = self.dict.learn(shard, basis.clone(), hash)?;
+        let (shard, local) = self.dict.split_id(outcome.id());
+        // `Known`: an `Install` announced it ahead of this payload, and the
+        // slot it invalidated is filled once, below.
+        if matches!(outcome, ShardOutcome::Learned { .. }) {
+            self.cache.invalidate(shard, local);
+        }
+        self.cache
+            .emit(shard, local, basis, deviation, carried, out)?;
         self.stats.chunks_decoded += 1;
         Ok(())
     }
 
     fn restore_ref(
         &mut self,
-        extra: &zipline_gd::BitVec,
+        carried: Carried<'_>,
         deviation: u64,
         id: u64,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let Self {
-            codec,
-            dict,
-            stats,
-            scratch,
-            ..
-        } = self;
-        let Some(basis) = dict.lookup_id_ref(id, true) else {
-            stats.decode_failures += 1;
+        // The dictionary first: it alone knows whether `id` is live, and its
+        // clock tick and recency move are what keep the mirror in step.
+        let Some((shard, local, basis)) = self.dict.locate_id(id, true) else {
+            self.stats.decode_failures += 1;
             return Err(GdError::UnknownIdentifier(id));
         };
-        codec.decode_parts_into(extra, deviation, basis, scratch, out)?;
+        self.cache
+            .emit(shard, local, basis, deviation, carried, out)?;
         self.stats.chunks_decoded += 1;
         Ok(())
     }
@@ -711,8 +733,8 @@ impl GdBackendDecompressor {
 impl BackendDecompressor for GdBackendDecompressor {
     type Batch = CompressedStream;
 
-    /// Decompresses a whole engine stream with recycled scratch buffers,
-    /// symmetric to [`GdBackend::compress_batch`](CompressionBackend::compress_batch).
+    /// Decompresses a whole engine stream, symmetric to
+    /// [`GdBackend::compress_batch`](CompressionBackend::compress_batch).
     fn decompress_batch(&mut self, stream: &CompressedStream) -> Result<Vec<u8>> {
         if stream.config.m != self.gd.m
             || stream.config.chunk_bytes != self.gd.chunk_bytes
@@ -731,29 +753,32 @@ impl BackendDecompressor for GdBackendDecompressor {
 
     /// Decodes one wire payload produced by the engine stream (see
     /// `EngineStream`), appending the restored bytes to `out`. Type 2
-    /// payloads teach the dictionary exactly like `NewBasis` records.
+    /// payloads teach the dictionary exactly like `NewBasis` records. The
+    /// fields are read straight off the wire bytes ([`PayloadFields`]); no
+    /// owned payload is built.
     fn restore_payload_into(
         &mut self,
         packet_type: PacketType,
         bytes: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        match ZipLinePayload::decode(&self.gd, packet_type, bytes)? {
-            ZipLinePayload::Raw(raw) => {
-                out.extend_from_slice(&raw);
-                self.stats.chunks_decoded += 1;
-                Ok(())
-            }
-            ZipLinePayload::Uncompressed {
-                deviation,
-                extra,
-                basis,
-            } => self.restore_new_basis(&extra, deviation, &basis, out),
-            ZipLinePayload::Compressed {
-                deviation,
-                extra,
-                id,
-            } => self.restore_ref(&extra, deviation, id, out),
+        if packet_type == PacketType::Raw {
+            out.extend_from_slice(bytes);
+            self.stats.chunks_decoded += 1;
+            return Ok(());
+        }
+        let PayloadFields {
+            deviation,
+            carried,
+            mut tail,
+        } = PayloadFields::locate(&self.gd, packet_type, bytes)?;
+        let carried = Carried::Wire(carried);
+        if packet_type == PacketType::Uncompressed {
+            let basis = tail.read_bitvec(self.gd.k())?;
+            self.restore_new_basis(carried, deviation, &basis, out)
+        } else {
+            let id = tail.read_bits(self.gd.id_bits as usize)?;
+            self.restore_ref(carried, deviation, id, out)
         }
     }
 
@@ -1123,6 +1148,32 @@ mod tests {
         assert_eq!(snap.shard_count, 4);
         let total_lookups: u64 = engine.shard_stats().iter().map(|s| s.lookups).sum();
         assert_eq!(total_lookups, 64);
+    }
+
+    #[test]
+    fn the_chunk_cache_grows_with_the_bases_learned_not_the_identifier_space() {
+        // The paper's 2^15 identifiers over 8 shards: identifiers start at
+        // `shard * 4096`, so a cache laid out by global identifier would
+        // span ~900 KiB after these 100 bases.
+        let config = EngineConfig::paper_default();
+        let mut engine = CompressionEngine::new(config).unwrap();
+        let mut data = Vec::new();
+        for i in 0..100u8 {
+            for _ in 0..3 {
+                let mut chunk = [0u8; 32];
+                chunk[4] = i;
+                chunk[9] = i;
+                chunk[17] = i;
+                data.extend_from_slice(&chunk);
+            }
+        }
+        let stream = engine.compress_batch(&data).unwrap();
+        assert_eq!(engine.stats().bases_learned, 100);
+        assert!(engine.dictionary().shard_lens().iter().all(|&len| len > 0));
+
+        let mut dec = engine.decompressor().unwrap();
+        assert_eq!(dec.decompress_batch(&stream).unwrap(), data);
+        assert_eq!(dec.inner.cache.held_bytes(), 100 * 32);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! a codec, and each batch it emits is tagged with the id of the codec
 //! that actually produced the bytes.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -988,11 +988,10 @@ impl RegistryDecompressor {
     }
 
     fn decoder(&mut self, id: CodecId) -> Result<&mut AnyDecompressor> {
-        if !self.built.contains_key(&id) {
-            let dec = self.registry.decompressor(id, &self.config)?;
-            self.built.insert(id, dec);
+        match self.built.entry(id) {
+            Entry::Occupied(built) => Ok(built.into_mut()),
+            Entry::Vacant(slot) => Ok(slot.insert(self.registry.decompressor(id, &self.config)?)),
         }
-        Ok(self.built.get_mut(&id).expect("just inserted"))
     }
 
     /// Decodes one payload: tagged payloads dispatch on their tag,

@@ -172,6 +172,15 @@ pub enum ShardOutcome {
     },
 }
 
+impl ShardOutcome {
+    /// The global identifier the basis is known or was learned under.
+    pub fn id(&self) -> u64 {
+        match self {
+            ShardOutcome::Known { id } | ShardOutcome::Learned { id, .. } => *id,
+        }
+    }
+}
+
 /// Shared per-shard classification logic (single-threaded and handle forms).
 /// `at` is the caller's record position, recorded in the journal when
 /// journaling is enabled.
@@ -308,6 +317,12 @@ impl ShardedDictionary {
         (id / self.shard_capacity as u64) as usize
     }
 
+    /// A global identifier as `(owning shard, identifier local to it)`.
+    pub fn split_id(&self, id: u64) -> (usize, u64) {
+        let shard = self.shard_of_id(id);
+        (shard, id - (shard * self.shard_capacity) as u64)
+    }
+
     /// Per-shard counters, indexed by shard.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards.iter().map(|s| s.stats).collect()
@@ -402,32 +417,44 @@ impl ShardedDictionary {
     }
 
     /// Decode-side mirror of the learning half of [`Self::classify`]: ticks
-    /// the shard clock and inserts the basis, returning its global
-    /// identifier. Used when replaying `NewBasis` records.
-    pub fn learn(&mut self, shard: usize, basis: BitVec, hash: u64) -> Result<u64> {
+    /// the shard clock and inserts the basis. Used when replaying `NewBasis`
+    /// records. [`ShardOutcome::Known`] means the basis already sat under
+    /// that identifier (an `Install` announced it ahead of its payload) and
+    /// was only refreshed, so whatever the caller derived from the
+    /// identifier's basis still holds.
+    pub fn learn(&mut self, shard: usize, basis: BitVec, hash: u64) -> Result<ShardOutcome> {
         let s = &mut self.shards[shard];
         s.clock += 1;
         s.stats.lookups += 1;
         let outcome = s.dict.insert_hashed(basis, hash, s.clock)?;
+        let id = s.base + outcome.id;
         if outcome.already_known {
             s.stats.hits += 1;
-        } else {
-            s.stats.learned += 1;
-            if outcome.evicted.is_some() {
-                s.stats.evictions += 1;
-            }
+            return Ok(ShardOutcome::Known { id });
         }
-        Ok(s.base + outcome.id)
+        s.stats.learned += 1;
+        let evicted = outcome.evicted.is_some();
+        if evicted {
+            s.stats.evictions += 1;
+        }
+        Ok(ShardOutcome::Learned { id, evicted })
     }
 
     /// Decode-side lookup of a global identifier: ticks the owning shard's
     /// clock, touches the entry and returns a reference to its basis.
     pub fn lookup_id_ref(&mut self, id: u64, touch: bool) -> Option<&BitVec> {
+        self.locate_id(id, touch).map(|(_, _, basis)| basis)
+    }
+
+    /// [`Self::lookup_id_ref`] that also says where the identifier lives:
+    /// `(owning shard, identifier local to it, basis)`.
+    pub fn locate_id(&mut self, id: u64, touch: bool) -> Option<(usize, u64, &BitVec)> {
         let shard = self.shard_of_id(id);
         let s = self.shards.get_mut(shard)?;
         s.clock += 1;
         let local = id - s.base;
-        s.dict.lookup_id_ref(local, s.clock, touch)
+        let basis = s.dict.lookup_id_ref(local, s.clock, touch)?;
+        Some((shard, local, basis))
     }
 
     /// Disjoint mutable handles to every shard, for fan-out across worker
@@ -737,9 +764,19 @@ mod tests {
             let h = b.hash_words();
             let shard = comp.shard_of_hash(h);
             match comp.classify(shard, &b, h).unwrap() {
-                ShardOutcome::Learned { id, .. } => {
+                ShardOutcome::Learned { id, evicted } => {
                     let learned = dec.learn(dec.shard_of_hash(h), b.clone(), h).unwrap();
-                    assert_eq!(learned, id, "decoder assigns the same id");
+                    assert_eq!(
+                        learned,
+                        ShardOutcome::Learned { id, evicted },
+                        "decoder assigns the same id"
+                    );
+                    assert_eq!(
+                        dec.learn(dec.shard_of_hash(h), b.clone(), h).unwrap(),
+                        ShardOutcome::Known { id },
+                        "a basis announced twice is refreshed, not reassigned"
+                    );
+                    comp.classify(shard, &b, h).unwrap();
                 }
                 ShardOutcome::Known { id } => {
                     assert_eq!(

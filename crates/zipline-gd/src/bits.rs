@@ -842,6 +842,10 @@ impl<'a> BitReader<'a> {
     /// Reads `width` bits as an unsigned integer (first bit = MSB).
     ///
     /// Byte-parallel: consumes up to 8 bits per step instead of one.
+    /// `#[inline]` because the engine's restore path reads three short
+    /// fields per payload across the crate boundary: out of line, the calls
+    /// cost more than the reads.
+    #[inline]
     pub fn read_bits(&mut self, width: usize) -> crate::error::Result<u64> {
         assert!(width <= 64, "width must be <= 64");
         if self.remaining_bits() < width {
@@ -883,6 +887,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Skips `count` bits.
+    #[inline]
     pub fn skip(&mut self, count: usize) -> crate::error::Result<()> {
         if self.remaining_bits() < count {
             return Err(crate::error::GdError::Malformed(

@@ -10,7 +10,14 @@
 //!   where repeated bases are replaced by dictionary identifiers, plus a
 //!   bit-packed serialization of the compressed stream. This is what the
 //!   examples use to compare GD against gzip on equal terms, and it mirrors
-//!   the "static table" accounting of Figure 3.
+//!   the "static table" accounting of Figure 3;
+//! * [`ChunkCache`] — the decode side of [`ChunkCodec`] as the stateful
+//!   decoders (here and in `zipline-engine`) use it: what each identifier's
+//!   basis restores to is built once per assignment by
+//!   [`ChunkCodec::decode_parts_into`] — the one place a chunk is built
+//!   from a basis — and every chunk is emitted from that as a copy, an OR
+//!   and a bit flip. The switch model (`zipline::decoder`) does not use it:
+//!   it recomputes per packet, as the hardware does.
 
 use crate::bits::{BitReader, BitVec, BitWriter};
 use crate::config::GdConfig;
@@ -232,7 +239,7 @@ impl ChunkCodec {
     /// [`Self::encode_chunk_into`]: reconstructs the chunk described by
     /// `(extra, deviation, basis)` and *appends* its bytes to `out`, reusing
     /// `scratch` for the intermediate bit buffers. With `scratch` and `out`
-    /// carried across records (as [`GdDecompressor::decompress_batch`] does),
+    /// carried across calls (as a [`ChunkCache`] does when it fills a slot),
     /// steady-state decoding performs no heap allocation.
     pub fn decode_parts_into(
         &self,
@@ -259,9 +266,8 @@ impl ChunkCodec {
     }
 }
 
-/// Reusable scratch buffers for the allocation-free batch decode path
-/// ([`ChunkCodec::decode_parts_into`] /
-/// [`GdDecompressor::decompress_batch`]), mirroring [`EncodeScratch`] on the
+/// Reusable scratch buffers for the allocation-free decode primitive
+/// ([`ChunkCodec::decode_parts_into`]), mirroring [`EncodeScratch`] on the
 /// encode side.
 #[derive(Debug, Default, Clone)]
 pub struct DecodeScratch {
@@ -276,6 +282,166 @@ impl DecodeScratch {
     /// reused.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Where the carried bits of the chunk being decoded sit.
+#[derive(Debug, Clone)]
+pub enum Carried<'a> {
+    /// In a record's bit vector (all of it).
+    Record(&'a BitVec),
+    /// On the wire, from the reader's position on (see
+    /// [`PayloadFields`](crate::packet::PayloadFields)).
+    Wire(BitReader<'a>),
+}
+
+/// The decode side of [`ChunkCodec`] with the reconstruction hoisted from
+/// per chunk to per basis: the cache keeps what each identifier's basis
+/// restores to with no carried bits and no deviation, so a chunk is rebuilt
+/// from its basis (parity CRC, bit assembly — [`ChunkCodec::decode_parts_into`])
+/// once per identifier assignment, and every chunk is emitted as a copy of
+/// that, an OR of its carried bits and the flip of one bit.
+///
+/// Invariant: a slot is [`invalidate`](Self::invalidate)d whenever its
+/// identifier is assigned a basis, filled from the basis the dictionary
+/// returns on the first [`emit`](Self::emit) after that, and read only after
+/// the dictionary has said the identifier is live — the dictionary, never
+/// the cache, decides liveness, so a retired identifier's stale slot is
+/// unreachable. Slots are per shard and indexed by local identifier, and
+/// grow with the identifiers actually referenced: `chunk_bytes` per basis,
+/// not per identifier the configuration could assign.
+#[derive(Debug, Clone)]
+pub struct ChunkCache {
+    codec: ChunkCodec,
+    shards: Vec<ShardSlots>,
+    /// `extra_bits` zero bits: the carried bits every slot is built with.
+    no_carried: BitVec,
+    scratch: DecodeScratch,
+    /// Landing buffer of a fill (`decode_parts_into` appends).
+    filled: Vec<u8>,
+}
+
+#[derive(Debug, Default, Clone)]
+struct ShardSlots {
+    /// `chunk_bytes` per local identifier, back to back.
+    bytes: Vec<u8>,
+    /// Whether the slot holds the chunk of its identifier's current basis.
+    valid: Vec<bool>,
+}
+
+impl ChunkCache {
+    /// An empty cache over `shards` identifier ranges (1 for a plain
+    /// [`BasisDictionary`]).
+    pub fn new(config: &GdConfig, shards: usize) -> Result<Self> {
+        Ok(Self {
+            codec: ChunkCodec::new(config)?,
+            shards: vec![ShardSlots::default(); shards],
+            no_carried: BitVec::zeros(config.extra_bits()),
+            scratch: DecodeScratch::new(),
+            filled: Vec::new(),
+        })
+    }
+
+    /// Forgets what `local` of `shard` restored to: its identifier has just
+    /// been assigned a (new) basis.
+    pub fn invalidate(&mut self, shard: usize, local: u64) {
+        if let Some(valid) = self.shards[shard].valid.get_mut(local as usize) {
+            *valid = false;
+        }
+    }
+
+    /// Bytes of restored chunks the cache holds: `chunk_bytes` per local
+    /// identifier referenced so far, summed over the shards.
+    pub fn held_bytes(&self) -> usize {
+        self.shards.iter().map(|slots| slots.bytes.len()).sum()
+    }
+
+    /// What `basis` — the live mapping of `local` in `shard` — restores to
+    /// with no carried bits and no deviation, built first if the slot is not
+    /// valid. The one place the decoders turn a basis into chunk bytes.
+    fn slot(&mut self, shard: usize, local: u64, basis: &BitVec) -> Result<&[u8]> {
+        let chunk_bytes = self.codec.config().chunk_bytes;
+        let slots = &mut self.shards[shard];
+        let local = local as usize;
+        if local >= slots.valid.len() {
+            slots.valid.resize(local + 1, false);
+            slots.bytes.resize((local + 1) * chunk_bytes, 0);
+        }
+        let slot = local * chunk_bytes..(local + 1) * chunk_bytes;
+        if !slots.valid[local] {
+            self.filled.clear();
+            self.codec.decode_parts_into(
+                &self.no_carried,
+                0,
+                basis,
+                &mut self.scratch,
+                &mut self.filled,
+            )?;
+            slots.bytes[slot.clone()].copy_from_slice(&self.filled);
+            slots.valid[local] = true;
+        }
+        Ok(&slots.bytes[slot])
+    }
+
+    /// Appends to `out` the chunk `(carried, deviation, basis)` describes,
+    /// where `basis` is what the dictionary just returned as the live
+    /// mapping of `local` in `shard`: a copy of the slot, an OR of the
+    /// carried bits into its first `extra_bits` bits and the flip of the bit
+    /// the deviation names. Errors are those of
+    /// [`ChunkCodec::decode_parts_into`], in its order (carried-bit count,
+    /// basis length, deviation range), and leave `out` untouched.
+    pub fn emit(
+        &mut self,
+        shard: usize,
+        local: u64,
+        basis: &BitVec,
+        deviation: u64,
+        mut carried: Carried<'_>,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let extra_bits = self.codec.config().extra_bits();
+        match &carried {
+            Carried::Record(bits) if bits.len() != extra_bits => {
+                return Err(GdError::LengthMismatch {
+                    expected: extra_bits,
+                    actual: bits.len(),
+                });
+            }
+            Carried::Wire(reader) if reader.remaining_bits() < extra_bits => {
+                return Err(GdError::Malformed(format!(
+                    "payload ends inside its {extra_bits} carried bits"
+                )));
+            }
+            _ => {}
+        }
+        // Resolved before the slot borrows the cache, reported after it.
+        let position = self.codec.transform().deviation_position(deviation);
+        let cached = self.slot(shard, local, basis)?;
+        let position = position?;
+
+        let start = out.len();
+        out.extend_from_slice(cached);
+        let chunk = &mut out[start..];
+        let mut at = 0;
+        while at < extra_bits {
+            let width = (extra_bits - at).min(64);
+            let bits = match &mut carried {
+                Carried::Record(bits) => bits.get_bits(at, width),
+                Carried::Wire(reader) => reader
+                    .read_bits(width)
+                    .expect("remaining bits checked above"),
+            };
+            let word = (bits << (64 - width)).to_be_bytes();
+            for (byte, bits) in chunk[at / 8..].iter_mut().zip(&word[..width.div_ceil(8)]) {
+                *byte |= bits;
+            }
+            at += width;
+        }
+        if let Some(position) = position {
+            let bit = extra_bits + position;
+            chunk[bit / 8] ^= 0x80 >> (bit % 8);
+        }
+        Ok(())
     }
 }
 
@@ -631,14 +797,14 @@ impl GdCompressor {
 /// out-of-band communication.
 #[derive(Debug, Clone)]
 pub struct GdDecompressor {
-    codec: ChunkCodec,
+    config: GdConfig,
     dictionary: BasisDictionary,
     stats: CompressionStats,
     clock: u64,
-    /// Reused by [`Self::decompress_batch`] so steady-state decompression
-    /// does not allocate per record (mirrors the compressor's
-    /// [`EncodeScratch`]).
-    scratch: DecodeScratch,
+    /// What each identifier restores to, so that a record costs a copy, an
+    /// OR and a bit flip rather than a reconstruction (one shard: the
+    /// dictionary is unsharded).
+    cache: ChunkCache,
 }
 
 impl GdDecompressor {
@@ -646,22 +812,22 @@ impl GdDecompressor {
     /// dictionary.
     pub fn new(config: &GdConfig) -> Result<Self> {
         Ok(Self {
-            codec: ChunkCodec::new(config)?,
+            config: *config,
             dictionary: BasisDictionary::new(config.dictionary_capacity()),
             stats: CompressionStats::new(),
             clock: 0,
-            scratch: DecodeScratch::new(),
+            cache: ChunkCache::new(config, 1)?,
         })
     }
 
     /// Builds a decompressor with a pre-populated dictionary (static table).
     pub fn with_dictionary(config: &GdConfig, dictionary: BasisDictionary) -> Result<Self> {
         Ok(Self {
-            codec: ChunkCodec::new(config)?,
+            config: *config,
             dictionary,
             stats: CompressionStats::new(),
             clock: 0,
-            scratch: DecodeScratch::new(),
+            cache: ChunkCache::new(config, 1)?,
         })
     }
 
@@ -678,7 +844,7 @@ impl GdDecompressor {
     }
 
     /// The recycling form of [`Self::decompress_record`]: *appends* the
-    /// restored bytes to `out`, reusing the decompressor's scratch buffers.
+    /// restored bytes to `out`, through the decompressor's [`ChunkCache`].
     /// This is the per-record primitive behind [`Self::decompress_batch`].
     pub fn decompress_record_into(&mut self, record: &Record, out: &mut Vec<u8>) -> Result<()> {
         self.clock += 1;
@@ -690,35 +856,29 @@ impl GdDecompressor {
             } => {
                 // Mirror the compressor's dictionary update so that later Ref
                 // records resolve to the same identifiers.
-                self.dictionary.insert(basis.clone(), self.clock)?;
-                let Self { codec, scratch, .. } = self;
-                codec.decode_parts_into(extra, *deviation, basis, scratch, out)?;
-                self.stats.chunks_decoded += 1;
+                let learned = self.dictionary.insert(basis.clone(), self.clock)?;
+                if !learned.already_known {
+                    self.cache.invalidate(0, learned.id);
+                }
+                let carried = Carried::Record(extra);
+                self.cache
+                    .emit(0, learned.id, basis, *deviation, carried, out)?;
             }
             Record::Ref {
                 extra,
                 deviation,
                 id,
             } => {
-                let Self {
-                    codec,
-                    dictionary,
-                    stats,
-                    clock,
-                    scratch,
-                } = self;
-                let Some(basis) = dictionary.lookup_id_ref(*id, *clock, true) else {
-                    stats.decode_failures += 1;
+                let Some(basis) = self.dictionary.lookup_id_ref(*id, self.clock, true) else {
+                    self.stats.decode_failures += 1;
                     return Err(GdError::UnknownIdentifier(*id));
                 };
-                codec.decode_parts_into(extra, *deviation, basis, scratch, out)?;
-                self.stats.chunks_decoded += 1;
+                let carried = Carried::Record(extra);
+                self.cache.emit(0, *id, basis, *deviation, carried, out)?;
             }
-            Record::RawTail { bytes } => {
-                out.extend_from_slice(bytes);
-                self.stats.chunks_decoded += 1;
-            }
+            Record::RawTail { bytes } => out.extend_from_slice(bytes),
         }
+        self.stats.chunks_decoded += 1;
         Ok(())
     }
 
@@ -729,23 +889,22 @@ impl GdDecompressor {
         self.decompress_batch(stream)
     }
 
-    /// Decompresses a whole stream through the recycling batch fast path,
-    /// symmetric to [`GdCompressor::compress_batch`]: every record streams
-    /// through [`ChunkCodec::decode_parts_into`] against the decompressor's
-    /// reused codeword/output scratch, so steady-state decoding is
+    /// Decompresses a whole stream, symmetric to
+    /// [`GdCompressor::compress_batch`]: every record is emitted from the
+    /// decompressor's [`ChunkCache`], so steady-state decoding is
     /// allocation-free apart from the single output buffer. Byte-for-byte
     /// and statistics-for-statistics equivalent to the per-record loop
     /// (enforced by the property-test suite).
     pub fn decompress_batch(&mut self, stream: &CompressedStream) -> Result<Vec<u8>> {
-        if stream.config.m != self.codec.config().m
-            || stream.config.chunk_bytes != self.codec.config().chunk_bytes
-            || stream.config.id_bits != self.codec.config().id_bits
+        if stream.config.m != self.config.m
+            || stream.config.chunk_bytes != self.config.chunk_bytes
+            || stream.config.id_bits != self.config.id_bits
         {
             return Err(GdError::InvalidConfig(
                 "stream was compressed with a different configuration".into(),
             ));
         }
-        let mut out = Vec::with_capacity(stream.records.len() * self.codec.config().chunk_bytes);
+        let mut out = Vec::with_capacity(stream.records.len() * self.config.chunk_bytes);
         for record in &stream.records {
             self.decompress_record_into(record, &mut out)?;
         }
@@ -1042,6 +1201,53 @@ mod tests {
         let err = dec.decompress_record(&record).unwrap_err();
         assert_eq!(err, GdError::UnknownIdentifier(3));
         assert_eq!(dec.stats().decode_failures, 1);
+    }
+
+    #[test]
+    fn chunk_cache_emits_what_decode_parts_into_builds() {
+        let config = GdConfig::paper_default();
+        let codec = ChunkCodec::new(&config).unwrap();
+        let mut cache = ChunkCache::new(&config, 2).unwrap();
+        let mut scratch = DecodeScratch::new();
+        let a = codec.encode_chunk(&[0x5Au8; 32]).unwrap();
+        let b = codec.encode_chunk(&[0xC3u8; 32]).unwrap();
+        let extra = BitVec::from_bools(&[true]);
+
+        for (basis, deviation) in [(&a.basis, 0), (&a.basis, 255), (&b.basis, 7)] {
+            // Slot (1, 3) is reassigned from `a` to `b` on the last round.
+            if deviation == 7 {
+                cache.invalidate(1, 3);
+            }
+            let mut expected = vec![0xEE];
+            codec
+                .decode_parts_into(&extra, deviation, basis, &mut scratch, &mut expected)
+                .unwrap();
+            let mut out = vec![0xEE];
+            cache
+                .emit(1, 3, basis, deviation, Carried::Record(&extra), &mut out)
+                .unwrap();
+            assert_eq!(out, expected, "deviation {deviation}");
+            // The same carried bit off wire bytes: bit 3 of 0b0001_0000.
+            let mut reader = BitReader::new(&[0x10]);
+            reader.skip(3).unwrap();
+            out.truncate(1);
+            cache
+                .emit(1, 3, basis, deviation, Carried::Wire(reader), &mut out)
+                .unwrap();
+            assert_eq!(out, expected, "deviation {deviation}, off the wire");
+        }
+        assert_eq!(cache.held_bytes(), 4 * 32, "shard 1 up to local id 3");
+
+        // Errors append nothing: deviation out of range, carried bits short.
+        let mut out = Vec::new();
+        let err = cache.emit(1, 3, &b.basis, 256, Carried::Record(&extra), &mut out);
+        assert!(matches!(err, Err(GdError::Malformed(_))));
+        let exhausted = Carried::Wire(BitReader::new(&[]));
+        let err = cache.emit(1, 3, &b.basis, 0, exhausted, &mut out);
+        assert!(matches!(err, Err(GdError::Malformed(_))));
+        let err = cache.emit(0, 0, &b.basis, 0, Carried::Record(&BitVec::new()), &mut out);
+        assert!(matches!(err, Err(GdError::LengthMismatch { .. })));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -60,9 +60,20 @@
 //!   bases through hash buckets keyed by the cached hash — no SipHash over
 //!   247-bit keys anywhere on the hot path;
 //! * [`GdDecompressor::decompress_batch`](codec::GdDecompressor::decompress_batch)
-//!   is the decode twin of `compress_batch`: records stream through a
-//!   recycled [`DecodeScratch`] via
-//!   [`ChunkCodec::decode_parts_into`](codec::ChunkCodec::decode_parts_into);
+//!   is the decode twin of `compress_batch`. The paper's decoder (Figure 2)
+//!   regenerates the truncated parity bits of every packet by running its
+//!   basis through the CRC unit again — free in a switch pipeline, the
+//!   whole cost of decoding on a host. The host decoders hoist that from
+//!   per chunk to per basis: a [`ChunkCache`](codec::ChunkCache) keeps what
+//!   each identifier's basis restores to, built once through
+//!   [`ChunkCodec::decode_parts_into`](codec::ChunkCodec::decode_parts_into)
+//!   against a recycled [`DecodeScratch`], and a chunk is then a copy of
+//!   that, an OR of its carried bits and the flip of the one bit its
+//!   deviation names. A slot is invalidated whenever its identifier is
+//!   assigned a basis, filled on the first reference after that, and read
+//!   only after the dictionary has said the identifier is live. The switch
+//!   model (`zipline::decoder::ZipLineDecodeProgram`) is deliberately left
+//!   recomputing per packet, as the hardware it models does;
 //! * [`ZipLinePayload::encode_into`](packet::ZipLinePayload::encode_into)
 //!   serializes wire payloads into a caller-owned scratch buffer, making the
 //!   switch programs' per-packet rewrite allocation-free.

@@ -205,39 +205,19 @@ impl ZipLinePayload {
         match packet_type {
             PacketType::Raw => Ok(ZipLinePayload::Raw(bytes.to_vec())),
             PacketType::Uncompressed => {
-                let expected = config.uncompressed_payload_bytes();
-                if bytes.len() < expected {
-                    return Err(GdError::Malformed(format!(
-                        "type 2 payload too short: {} bytes, expected {expected}",
-                        bytes.len()
-                    )));
-                }
-                let mut r = BitReader::new(bytes);
-                let deviation = r.read_bits(config.m as usize)?;
-                let extra = r.read_bitvec(config.extra_bits())?;
-                let basis = r.read_bitvec(config.k())?;
+                let mut fields = PayloadFields::locate(config, packet_type, bytes)?;
                 Ok(ZipLinePayload::Uncompressed {
-                    deviation,
-                    extra,
-                    basis,
+                    deviation: fields.deviation,
+                    extra: fields.carried.read_bitvec(config.extra_bits())?,
+                    basis: fields.tail.read_bitvec(config.k())?,
                 })
             }
             PacketType::Compressed => {
-                let expected = config.compressed_payload_bytes();
-                if bytes.len() < expected {
-                    return Err(GdError::Malformed(format!(
-                        "type 3 payload too short: {} bytes, expected {expected}",
-                        bytes.len()
-                    )));
-                }
-                let mut r = BitReader::new(bytes);
-                let deviation = r.read_bits(config.m as usize)?;
-                let extra = r.read_bitvec(config.extra_bits())?;
-                let id = r.read_bits(config.id_bits as usize)?;
+                let mut fields = PayloadFields::locate(config, packet_type, bytes)?;
                 Ok(ZipLinePayload::Compressed {
-                    deviation,
-                    extra,
-                    id,
+                    deviation: fields.deviation,
+                    extra: fields.carried.read_bitvec(config.extra_bits())?,
+                    id: fields.tail.read_bits(config.id_bits as usize)?,
                 })
             }
         }
@@ -273,6 +253,55 @@ impl ZipLinePayload {
             }
         }
         Ok(())
+    }
+}
+
+/// The fields of a processed (type 2 / type 3) payload, located on the wire
+/// bytes but not copied out of them: what [`ZipLinePayload::decode`]
+/// materialises, and what a decoder that needs no owned payload (the
+/// engine's restore path) reads directly.
+#[derive(Debug, Clone)]
+pub struct PayloadFields<'a> {
+    /// The `m`-bit deviation (syndrome).
+    pub deviation: u64,
+    /// Positioned at the first of the `extra_bits` carried bits.
+    pub carried: BitReader<'a>,
+    /// Positioned behind the carried bits: at the `k`-bit basis (type 2) or
+    /// the `id_bits`-bit identifier (type 3).
+    pub tail: BitReader<'a>,
+}
+
+impl<'a> PayloadFields<'a> {
+    /// Checks the payload length for its type and locates the fields. Once
+    /// this returns, reading `extra_bits` bits from `carried` and the basis
+    /// or identifier from `tail` cannot run off the end of `bytes`.
+    #[inline]
+    pub fn locate(config: &GdConfig, packet_type: PacketType, bytes: &'a [u8]) -> Result<Self> {
+        let expected = match packet_type {
+            PacketType::Raw => {
+                return Err(GdError::Malformed(
+                    "type 1 payloads carry no processed fields".into(),
+                ))
+            }
+            PacketType::Uncompressed => config.uncompressed_payload_bytes(),
+            PacketType::Compressed => config.compressed_payload_bytes(),
+        };
+        if bytes.len() < expected {
+            return Err(GdError::Malformed(format!(
+                "type {} payload too short: {} bytes, expected {expected}",
+                packet_type.number(),
+                bytes.len()
+            )));
+        }
+        let mut carried = BitReader::new(bytes);
+        let deviation = carried.read_bits(config.m as usize)?;
+        let mut tail = carried.clone();
+        tail.skip(config.extra_bits())?;
+        Ok(Self {
+            deviation,
+            carried,
+            tail,
+        })
     }
 }
 

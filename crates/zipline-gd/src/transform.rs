@@ -114,12 +114,7 @@ impl HammingTransform {
                 actual: basis.len(),
             });
         }
-        if deviation > self.code.n() as u64 {
-            return Err(GdError::Malformed(format!(
-                "deviation {deviation} exceeds syndrome range 0..={}",
-                self.code.n()
-            )));
-        }
+        let position = self.deviation_position(deviation)?;
         // ➌/➍ zero-pad and regenerate the parity bits with the same CRC
         // (word-parallel: no padded copy is materialised)
         let parity = self.code.parity_of_message(basis);
@@ -130,10 +125,25 @@ impl HammingTransform {
         debug_assert_eq!(self.code.syndrome(out)?, 0);
         // ➎/➏ flip the bit designated by the deviation (single word XOR
         // instead of an n-bit mask)
-        if let Some(position) = self.code.error_position(deviation)? {
+        if let Some(position) = position {
             out.flip(position);
         }
         Ok(())
+    }
+
+    /// The codeword bit a deviation designates (`None` for 0, the codeword
+    /// itself), or [`GdError::Malformed`] when it lies beyond the syndrome
+    /// range. The one range check of the decode side: both
+    /// [`Self::reconstruct_into`] and the cached emit of the codec
+    /// (`ChunkCodec::emit_cached`) go through it.
+    pub fn deviation_position(&self, deviation: u64) -> Result<Option<usize>> {
+        if deviation > self.code.n() as u64 {
+            return Err(GdError::Malformed(format!(
+                "deviation {deviation} exceeds syndrome range 0..={}",
+                self.code.n()
+            )));
+        }
+        self.code.error_position(deviation)
     }
 
     /// Number of distinct `n`-bit chunks that map to each basis: `n + 1`
