@@ -16,6 +16,8 @@
 //!   [`CompressionBackend`] trait boundary — the generic engine cannot
 //!   drift from `GdCompressor::compress_batch` however it is driven.
 
+mod golden;
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -133,6 +135,15 @@ fn replay_events(gd: &GdConfig, events: &[WireEvent]) -> Vec<u8> {
         }
     }
     out
+}
+
+/// The golden stream table is a function of the data, backend, shard count
+/// and batch size alone: one worker on the calling thread and four on
+/// threads reproduce it.
+#[test]
+fn golden_stream_table_is_independent_of_worker_count() {
+    golden::check(golden::Runner::Inline, 1);
+    golden::check(golden::Runner::Threaded, 4);
 }
 
 proptest! {

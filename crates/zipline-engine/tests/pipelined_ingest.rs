@@ -11,6 +11,8 @@
 //!   closed with data in flight), and a depth-1 bounded channel with the
 //!   worker forced on (backpressure engaged on every batch).
 
+mod golden;
+
 use std::cell::RefCell;
 
 use proptest::prelude::*;
@@ -289,6 +291,35 @@ fn worker_errors_surface_to_the_caller() {
 // ---------------------------------------------------------------------------
 // Bit-identity pins
 // ---------------------------------------------------------------------------
+
+/// The committed table is the synchronous `EngineStream`'s output.
+#[test]
+fn golden_table_matches_the_synchronous_stream() {
+    golden::check(golden::Runner::Sync, 2);
+}
+
+/// The pipelined stream on the calling thread reproduces the golden table.
+#[test]
+fn golden_table_matches_the_inline_pipelined_stream() {
+    golden::check(golden::Runner::Inline, 2);
+}
+
+/// The pipelined stream with its worker thread reproduces the golden table.
+#[test]
+fn golden_table_matches_the_threaded_pipelined_stream() {
+    golden::check(golden::Runner::Threaded, 2);
+}
+
+/// Rewrites `tests/golden/stream.txt` from the stream in the tree.
+#[test]
+#[ignore = "rewrites tests/golden/stream.txt"]
+fn regenerate() {
+    std::fs::write(
+        golden::TABLE_PATH,
+        golden::actual_table(golden::Runner::Sync, 2),
+    )
+    .expect("table is writable");
+}
 
 /// The 1-shard/1-worker pipelined stream serializes exactly the records
 /// `GdCompressor::compress_batch` would produce, payload for payload — the
