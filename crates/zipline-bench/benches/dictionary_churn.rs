@@ -1,17 +1,15 @@
-//! PR-3 churn bench: live decoder sync on a capacity-exceeding stream.
+//! Churn bench: live decoder sync on a capacity-exceeding stream.
 //!
 //! The workload cycles through 4× more distinct bases than the dictionary
 //! holds (64 identifiers, 32-byte chunks), each basis appearing twice — the
-//! regime where identifiers are constantly evicted and recycled and the
-//! snapshot-only decoder sync of PR 2 silently aliased earlier frames. The
-//! groups measure what the fix costs:
+//! regime where identifiers are constantly evicted and recycled, and where
+//! a post-hoc dictionary snapshot would alias earlier frames. The groups
+//! measure what keeping a decoder in sync costs:
 //!
 //! * `engine_batch` — raw engine compression of the churny stream (no
 //!   streaming front-end), the floor;
-//! * `snapshot_stream` — `EngineStream` without live sync plus one post-hoc
-//!   snapshot per run (the old, incorrect-under-churn protocol);
-//! * `live_sync_stream` — `EngineStream` with the update journal drained and
-//!   every install/evict handed to a control sink (the correct protocol);
+//! * `live_sync_stream` — an inline `PipelinedStream` with the update
+//!   journal drained and every install/evict handed to a control sink;
 //! * `live_sync_frames` — the full `EngineHostPath`, control frames
 //!   serialized in-band through `EngineControlPlane`.
 //!
@@ -22,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use zipline::host::{EngineHostPath, HostPathConfig};
-use zipline_engine::{CompressionEngine, EngineConfig, EngineStream, SpawnPolicy};
+use zipline_engine::{CompressionEngine, EngineConfig, PipelinedStream, SpawnPolicy};
 use zipline_gd::GdConfig;
 use zipline_traces::{ChurnWorkload, ChurnWorkloadConfig};
 
@@ -62,37 +60,24 @@ fn bench_dictionary_churn(c: &mut Criterion) {
         b.iter(|| black_box(engine.compress_batch(black_box(&data)).unwrap()))
     });
 
-    // The PR-2 protocol: stream + one post-hoc snapshot (wrong under churn;
-    // benchmarked as the cost baseline the live path is compared against).
-    let mut engine = CompressionEngine::new(engine_config(gd)).unwrap();
-    group.bench_function("snapshot_stream", |b| {
-        b.iter(|| {
-            let mut sink_bytes = 0u64;
-            let mut stream = EngineStream::new(&mut engine, 64, |_, bytes: &[u8]| {
-                sink_bytes += bytes.len() as u64;
-            });
-            stream.push_record(black_box(&data)).unwrap();
-            let summary = stream.finish().unwrap();
-            black_box((summary, engine.snapshot(), sink_bytes))
-        })
-    });
-
-    // The PR-3 protocol: update journal drained per batch, every event
-    // handed to the control sink interleaved with the payloads.
-    let mut engine = CompressionEngine::new(engine_config(gd)).unwrap();
-    engine.set_live_sync(true);
+    // Update journal drained per batch, every event handed to the control
+    // sink interleaved with the payloads. The stream takes the engine by
+    // value and hands it back, so it carries over between iterations.
+    let mut engine = Some(CompressionEngine::new(engine_config(gd)).unwrap());
     group.bench_function("live_sync_stream", |b| {
         b.iter(|| {
             let mut sink_bytes = 0u64;
             let mut updates = 0u64;
-            let mut stream = EngineStream::with_control_sink(
-                &mut engine,
+            let mut stream = PipelinedStream::with_control_sink(
+                engine.take().unwrap(),
                 64,
                 |_, bytes: &[u8]| sink_bytes += bytes.len() as u64,
                 Some(|_: &zipline_engine::DictionaryUpdate| updates += 1),
-            );
+            )
+            .unwrap();
             stream.push_record(black_box(&data)).unwrap();
-            let summary = stream.finish().unwrap();
+            let (returned, summary) = stream.finish().unwrap();
+            engine = Some(returned);
             black_box((summary, sink_bytes, updates))
         })
     });

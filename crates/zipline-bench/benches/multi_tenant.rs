@@ -56,7 +56,6 @@ fn bench_multi_tenant(c: &mut Criterion) {
         b.iter(|| {
             let engine = EngineBuilder::new()
                 .config(engine())
-                .live_sync(true)
                 .pipelined(2)
                 .build()
                 .unwrap();

@@ -1,29 +1,25 @@
-//! PR-5 bench: pipelined vs synchronous ingest on a producer-consumer
-//! workload.
+//! Pipelined ingest on a producer-consumer workload.
 //!
 //! The scenario the pipeline exists for: a producer generates records with
 //! non-trivial per-record cost (here a word-mixing pass standing in for NIC
 //! ingest work — checksumming, parsing, copying out of a ring), and the
-//! engine compresses them. Synchronously, producer and engine take turns;
+//! engine compresses them. Inline, producer and engine take turns;
 //! pipelined, the producer fills the next batch while the engine worker
 //! compresses the previous one, so on a multi-core host wall-clock
 //! approaches `max(produce, compress)` instead of their sum.
 //!
 //! On a single-core host (such as the CI container) [`SpawnPolicy::Auto`]
 //! degrades the pipelined stream to inline execution: the numbers then
-//! measure the pipeline's bookkeeping overhead over `EngineStream`, which
-//! must stay within jitter of the `sync_stream` baseline — that is the
-//! regression the committed `BENCH_PR5.json` baseline tracks. The `_d<N>`
-//! suffix is the pipeline depth (batches in flight before ingest blocks).
+//! measure the stream's own bookkeeping, the regression the committed
+//! `BENCH_PR5.json` baseline tracks. The `_d<N>` suffix is the pipeline
+//! depth (batches in flight before ingest blocks).
 //!
 //! Snapshots are committed as `BENCH_PR5.json` (regenerate with
 //! `BENCH_JSON=bench.jsonl cargo bench -p zipline-bench --bench pipelined_ingest`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use zipline_engine::{
-    CompressionEngine, EngineBuilder, EngineStream, GdBackend, PipelinedStream, SpawnPolicy,
-};
+use zipline_engine::{CompressionEngine, EngineBuilder, GdBackend, PipelinedStream, SpawnPolicy};
 use zipline_gd::GdConfig;
 
 /// Records per stream run and bytes per record (4 chunks each).
@@ -47,16 +43,13 @@ fn produce_record(seed: u64, out: &mut [u8; RECORD_BYTES]) {
     }
 }
 
-fn builder(depth: Option<usize>) -> EngineBuilder {
-    let builder = EngineBuilder::new()
+fn builder(depth: usize) -> EngineBuilder {
+    EngineBuilder::new()
         .gd(GdConfig::paper_default())
         .shards(8)
         .workers(4)
-        .spawn(SpawnPolicy::Auto);
-    match depth {
-        Some(depth) => builder.pipelined(depth),
-        None => builder,
-    }
+        .spawn(SpawnPolicy::Auto)
+        .pipelined(depth)
 }
 
 fn bench_pipelined_ingest(c: &mut Criterion) {
@@ -64,29 +57,10 @@ fn bench_pipelined_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipelined_ingest");
     group.throughput(Throughput::Bytes(total_bytes));
 
-    // Baseline: the synchronous stream with the same producer inline.
-    let mut engine = builder(None).build().unwrap();
-    group.bench_function("sync_stream", |b| {
-        b.iter(|| {
-            let mut wire = 0u64;
-            let mut stream = EngineStream::new(&mut engine, 64, |_, bytes| {
-                wire += bytes.len() as u64;
-            });
-            let mut record = [0u8; RECORD_BYTES];
-            for i in 0..RECORDS {
-                produce_record(i as u64, &mut record);
-                stream.push_record(black_box(&record)).unwrap();
-            }
-            stream.finish().unwrap();
-            black_box(wire)
-        })
-    });
-
     // Pipelined at several depths. The engine is threaded through an Option
     // because the stream owns it for the duration of each run.
     for depth in [1usize, 2, 4] {
-        let mut slot: Option<CompressionEngine<GdBackend>> =
-            Some(builder(Some(depth)).build().unwrap());
+        let mut slot: Option<CompressionEngine<GdBackend>> = Some(builder(depth).build().unwrap());
         group.bench_function(format!("pipelined_d{depth}"), |b| {
             b.iter(|| {
                 let engine = slot.take().expect("engine returned by finish");
@@ -108,7 +82,7 @@ fn bench_pipelined_ingest(c: &mut Criterion) {
     }
 
     // The producer alone, for reading the overlap headroom off the report:
-    // pipelined wall-clock can at best approach max(producer, sync - producer).
+    // pipelined wall-clock can at best approach max(producer, compress).
     group.bench_function("producer_only", |b| {
         b.iter(|| {
             let mut record = [0u8; RECORD_BYTES];

@@ -5,9 +5,9 @@
 //! the seam that lets our engine run that comparison live instead of
 //! offline: [`CompressionBackend`] captures exactly what
 //! [`CompressionEngine`](crate::CompressionEngine),
-//! [`EngineStream`](crate::EngineStream) and the `zipline` crate's host path
-//! need from a codec, so the same sharded, streaming, live-synced pipeline
-//! drives GD ([`GdBackend`](crate::GdBackend)), DEFLATE/gzip
+//! [`PipelinedStream`](crate::PipelinedStream) and the `zipline` crate's
+//! host path need from a codec, so the same sharded, streaming, decoder-
+//! syncing pipeline drives GD ([`GdBackend`](crate::GdBackend)), DEFLATE/gzip
 //! ([`DeflateBackend`]) and a no-op floor ([`PassthroughBackend`]) — and,
 //! later, persistent/mmap shard stores or the switch's `ExactMatchTable`
 //! without another engine rewrite.
@@ -28,15 +28,15 @@
 //! * the mirrored [`Decompressor`](CompressionBackend::Decompressor)
 //!   restores batches and wire payloads byte-exactly.
 //!
-//! # What live sync requires — and what delta-less backends opt out of
+//! # What decoder sync requires — and what delta-less backends opt out of
 //!
 //! A backend that maintains shared decoder state (GD's `identifier → basis`
-//! dictionary) must implement the delta hooks so a remote decoder can track
-//! it: [`set_live_sync`](CompressionBackend::set_live_sync) turns mutation
-//! journaling on, and [`take_delta`](CompressionBackend::take_delta) drains
-//! an ordered [`DictionaryDelta`] per batch. For the
-//! delta ordering rules to hold across the trait boundary the backend must
-//! guarantee, per batch:
+//! dictionary) answers [`supports_live_sync`](CompressionBackend::supports_live_sync)
+//! with `true`, journals every mutation from the moment it is built, and
+//! drains an ordered [`DictionaryDelta`] per batch through
+//! [`take_delta`](CompressionBackend::take_delta); every stream batch
+//! carries that delta. For the delta ordering rules to hold across the
+//! trait boundary the backend must guarantee, per batch:
 //!
 //! 1. every update's `at` is the input-order record index of the record at
 //!    which the mutation happened, and `emit_batch` emits records in exactly
@@ -142,19 +142,8 @@ pub trait CompressionBackend {
     }
 
     /// True when the backend maintains shared decoder state and therefore
-    /// implements the delta hooks.
+    /// journals every mutation for [`Self::take_delta`].
     fn supports_live_sync(&self) -> bool {
-        false
-    }
-
-    /// Turns mutation journaling on or off. Backends without shared decoder
-    /// state ignore this.
-    fn set_live_sync(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// True when mutation journaling is currently on.
-    fn live_sync_enabled(&self) -> bool {
         false
     }
 
@@ -251,7 +240,8 @@ fn deflate_error(e: zipline_deflate::DeflateError) -> GdError {
 ///
 /// Batch size is the ratio lever: DEFLATE "requires a minimum of 3 kB to
 /// compress data" (the paper's phrasing), so feed it kilobyte-scale batches
-/// — e.g. `EngineStream` with `unit_bytes == 1` and `batch_units == 8192`.
+/// — e.g. a [`PipelinedStream`](crate::PipelinedStream) with
+/// `batch_units == 8192` (`unit_bytes` is 1).
 #[derive(Debug, Clone)]
 pub struct DeflateBackend {
     level: Level,

@@ -1,23 +1,21 @@
 //! One validated front door for engine construction.
 //!
-//! [`EngineBuilder`] replaces the knob surface that accreted across PRs 2
-//! and 3 — `EngineConfig` field poking, `enable_live_sync` /
-//! `disable_live_sync` on the engine, `enable_journal` on the dictionary —
-//! with a single fluent builder that checks the whole shape **once** at
-//! [`build`](EngineBuilder::build):
+//! [`EngineBuilder`] is the single fluent front door to an engine: it
+//! checks the whole shape **once** at [`build`](EngineBuilder::build):
 //!
 //! ```
 //! use zipline_engine::{DeflateBackend, EngineBuilder, SpawnPolicy};
 //!
-//! // The GD default: paper parameters, 4 shards, 2 workers, live sync on.
+//! // The GD default: paper parameters, 4 shards, 2 workers. GD journals
+//! // every dictionary mutation, so each batch carries its updates.
 //! let mut engine = EngineBuilder::new()
 //!     .shards(4)
 //!     .workers(2)
 //!     .spawn(SpawnPolicy::Auto)
-//!     .live_sync(true)
 //!     .build()
 //!     .unwrap();
-//! assert!(engine.live_sync_enabled());
+//! engine.compress_batch(&[7u8; 32 * 4]).unwrap();
+//! assert_eq!(engine.take_delta().updates.len(), 1);
 //!
 //! // The same pipeline over gzip: swap the backend, keep the shape.
 //! let mut gzip_engine = EngineBuilder::new()
@@ -49,9 +47,8 @@ use zipline_gd::error::Result;
 #[derive(Debug, Clone)]
 pub struct EngineBuilder<B: CompressionBackend = GdBackend> {
     config: EngineConfig,
-    live_sync: bool,
     /// Ingest pipeline depth for [`PipelinedStream`](crate::PipelinedStream);
-    /// `None` keeps the engine synchronous-only.
+    /// `None` makes streams over the engine run inline.
     pipeline_depth: Option<usize>,
     /// Durable store directory; `None` keeps the engine in-memory only.
     durable: Option<PathBuf>,
@@ -63,12 +60,10 @@ pub struct EngineBuilder<B: CompressionBackend = GdBackend> {
 }
 
 impl EngineBuilder<GdBackend> {
-    /// Starts from [`EngineConfig::paper_default`] with the GD backend and
-    /// live sync off.
+    /// Starts from [`EngineConfig::paper_default`] with the GD backend.
     pub fn new() -> Self {
         Self {
             config: EngineConfig::paper_default(),
-            live_sync: false,
             pipeline_depth: None,
             durable: None,
             store_options: StoreOptions::default(),
@@ -121,23 +116,16 @@ impl<B: CompressionBackend> EngineBuilder<B> {
         self
     }
 
-    /// Turns live-sync journaling on for the built engine (no-op for
-    /// delta-less backends such as deflate and passthrough).
-    pub fn live_sync(mut self, enabled: bool) -> Self {
-        self.live_sync = enabled;
-        self
-    }
-
-    /// Opts the built engine in to pipelined ingest
-    /// ([`PipelinedStream`](crate::PipelinedStream)): `depth` is the bounded
-    /// channel capacity — filled batches allowed in flight between the
-    /// ingest thread and the engine worker before `push_record` blocks.
-    /// Depth 1 is classic double buffering. Validated at
-    /// [`build`](Self::build) (`1..=`[`MAX_PIPELINE_DEPTH`]); whether a
+    /// Lets streams over the built engine
+    /// ([`PipelinedStream`](crate::PipelinedStream)) run an engine worker
+    /// thread: `depth` is the bounded channel capacity — filled batches
+    /// allowed in flight between the ingest thread and the worker before
+    /// `push_record` blocks. Depth 1 is classic double buffering. Validated
+    /// at [`build`](Self::build) (`1..=`[`MAX_PIPELINE_DEPTH`]); whether a
     /// worker thread actually spawns follows the engine's
     /// [`spawn`](Self::spawn) policy, so a 1-core host under
-    /// [`SpawnPolicy::Auto`] degrades to inline execution with identical
-    /// output.
+    /// [`SpawnPolicy::Auto`] streams inline with identical output. Without
+    /// this call streams always run inline.
     ///
     /// [`MAX_PIPELINE_DEPTH`]: crate::pipelined::MAX_PIPELINE_DEPTH
     pub fn pipelined(mut self, depth: usize) -> Self {
@@ -151,18 +139,19 @@ impl<B: CompressionBackend> EngineBuilder<B> {
     /// before emission. On a warm restart the backend's dictionary is
     /// rehydrated from the store — no cold-start snapshot resync — and
     /// the recovery data is available once via
-    /// [`CompressionEngine::take_warm_start`]. For backends with shared
-    /// decoder state, durability forces live sync on (the store journals
-    /// the same deltas the control plane consumes).
+    /// [`CompressionEngine::take_warm_start`]. The store journals the same
+    /// dictionary updates the batches carry to a decoder.
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable = Some(dir.into());
         self
     }
 
-    /// Sets the durable store's checkpoint cadence: a full-state
-    /// checkpoint every `batches` commits. The default of 1 makes every
-    /// commit bit-exactly recoverable; larger cadences trade checkpoint
-    /// bytes for delta-fold (*consistent*) recovery. No effect without
+    /// Sets the durable store's [`StoreOptions::checkpoint_cadence`]. No
+    /// stream consults it: [`PipelinedStream`](crate::PipelinedStream)
+    /// commits every batch without a checkpoint and compacts the store to
+    /// one checkpoint at `finish`. It only matters to a caller that drives
+    /// [`EngineStore::commit_batch`] itself and asks
+    /// [`EngineStore::checkpoint_due`]. No effect without
     /// [`durable`](Self::durable).
     pub fn checkpoint_cadence(mut self, batches: u64) -> Self {
         self.store_options.checkpoint_cadence = batches.max(1);
@@ -195,7 +184,6 @@ impl<B: CompressionBackend> EngineBuilder<B> {
     pub fn backend<B2: CompressionBackend>(self, backend: B2) -> EngineBuilder<B2> {
         EngineBuilder {
             config: self.config,
-            live_sync: self.live_sync,
             pipeline_depth: self.pipeline_depth,
             durable: self.durable,
             store_options: self.store_options,
@@ -218,15 +206,10 @@ impl<B: CompressionBackend> EngineBuilder<B> {
                 pipeline.validate().map(|()| pipeline)
             })
             .transpose()?;
-        let mut backend = match self.backend {
+        let backend = match self.backend {
             Some(backend) => backend,
             None => B::from_engine_config(&self.config)?,
         };
-        // Durability rides on the same journal live sync drains, so a
-        // durable stateful backend always journals.
-        backend.set_live_sync(
-            self.live_sync || (self.durable.is_some() && backend.supports_live_sync()),
-        );
 
         let durable = self
             .durable
@@ -323,7 +306,7 @@ mod tests {
         let pipeline = engine.pipeline().expect("pipeline configured");
         assert_eq!(pipeline.depth, 3);
         assert_eq!(pipeline.spawn, SpawnPolicy::Inline);
-        // Without the knob the engine stays synchronous-only.
+        // Without the knob streams over the engine run inline.
         assert!(EngineBuilder::new().build().unwrap().pipeline().is_none());
         // The knob survives a backend swap.
         let engine = EngineBuilder::new()
@@ -336,16 +319,19 @@ mod tests {
 
     #[test]
     fn live_sync_is_set_at_build() {
-        let engine = EngineBuilder::new().live_sync(true).build().unwrap();
-        assert!(engine.live_sync_enabled());
-        let engine = EngineBuilder::new().build().unwrap();
-        assert!(!engine.live_sync_enabled());
-        // Delta-less backends silently ignore the knob.
-        let engine = EngineBuilder::new()
+        // GD journals from the moment it is built: the first batch's
+        // install is in the delta without any opt-in.
+        let mut engine = EngineBuilder::new().build().unwrap();
+        assert!(engine.backend().supports_live_sync());
+        engine.compress_batch(&[3u8; 32 * 2]).unwrap();
+        assert_eq!(engine.take_delta().updates.len(), 1);
+        // Delta-less backends have nothing to journal.
+        let mut engine = EngineBuilder::new()
             .backend(PassthroughBackend::new())
-            .live_sync(true)
             .build()
             .unwrap();
-        assert!(!engine.live_sync_enabled());
+        assert!(!engine.backend().supports_live_sync());
+        engine.compress_batch(&[3u8; 64]).unwrap();
+        assert!(engine.take_delta().is_empty());
     }
 }

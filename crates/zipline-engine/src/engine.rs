@@ -178,9 +178,12 @@ impl GdBackend {
     /// Builds the backend with a fresh sharded dictionary.
     pub fn new(config: EngineConfig) -> Result<Self> {
         config.validate()?;
+        let mut dict = ShardedDictionary::for_config(&config.gd, config.shards)?;
+        // Every batch carries the updates that make it decodable.
+        dict.set_journal(true);
         Ok(Self {
             codec: ChunkCodec::new(&config.gd)?,
-            dict: ShardedDictionary::for_config(&config.gd, config.shards)?,
+            dict,
             shard_compression_stats: vec![CompressionStats::new(); config.shards],
             tail_stats: CompressionStats::new(),
             workers: vec![WorkerScratch::default(); config.workers],
@@ -212,11 +215,11 @@ impl GdBackend {
         &self.dict
     }
 
-    /// Merged dictionary snapshot, for *cold* decoder sync. Under churn a
-    /// post-hoc snapshot aliases recycled identifiers; use live sync
-    /// (journaling via [`CompressionBackend::set_live_sync`] +
-    /// [`CompressionBackend::take_delta`]) for streams that may learn more
-    /// distinct bases than the dictionary holds.
+    /// Merged dictionary snapshot: every live `identifier → basis` mapping
+    /// (a warm restart re-announces these). It is not a decoder sync: under
+    /// churn a post-hoc snapshot aliases recycled identifiers, which is why
+    /// every batch carries its updates
+    /// ([`CompressionBackend::take_delta`]).
     pub fn dictionary_snapshot(&self) -> DictionarySnapshot {
         self.dict.snapshot()
     }
@@ -519,18 +522,6 @@ impl CompressionBackend for GdBackend {
         true
     }
 
-    /// Turns dictionary update journaling on or off. Enabling makes every
-    /// batch record its install/evict events for [`Self::take_delta`] to
-    /// drain (from the next batch on); disabling discards undrained events
-    /// and restores the zero-cost default.
-    fn set_live_sync(&mut self, enabled: bool) {
-        self.dict.set_journal(enabled);
-    }
-
-    fn live_sync_enabled(&self) -> bool {
-        self.dict.journal_enabled()
-    }
-
     /// Drains the update journal accumulated since the last call into an
     /// ordered [`DictionaryDelta`]. Call once per batch: each update's `at`
     /// is the input-order record index *within that batch*, so a decoder
@@ -561,9 +552,8 @@ impl CompressionBackend for GdBackend {
                 self.config.gd.dictionary_capacity() / self.config.shards,
             )));
         }
-        let journal = self.dict.journal_enabled();
         self.dict = ShardedDictionary::from_state(state)?;
-        self.dict.set_journal(journal);
+        self.dict.set_journal(true);
         Ok(())
     }
 
@@ -752,7 +742,7 @@ impl BackendDecompressor for GdBackendDecompressor {
     }
 
     /// Decodes one wire payload produced by the engine stream (see
-    /// `EngineStream`), appending the restored bytes to `out`. Type 2
+    /// [`PipelinedStream`](crate::PipelinedStream)), appending the restored bytes to `out`. Type 2
     /// payloads teach the dictionary exactly like `NewBasis` records. The
     /// fields are read straight off the wire bytes ([`PayloadFields`]); no
     /// owned payload is built.
@@ -833,12 +823,13 @@ impl<B: CompressionBackend> CompressionEngine<B> {
     }
 
     /// The ingest pipeline shape, when configured (see
-    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined)).
+    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined));
+    /// `None` makes streams over the engine run inline.
     pub fn pipeline(&self) -> Option<PipelineConfig> {
         self.pipeline
     }
 
-    /// Opts the engine in to (or out of) pipelined ingest. The builder's
+    /// Lets streams over the engine run a worker thread (or not). The builder's
     /// [`pipelined`](crate::EngineBuilder::pipelined) knob is the validated
     /// path; this setter is the matching escape hatch for engines built via
     /// [`from_backend`](Self::from_backend) — the configuration is still
@@ -875,16 +866,9 @@ impl<B: CompressionBackend> CompressionEngine<B> {
 
     /// Detaches and returns the durability layer (used by
     /// [`PipelinedStream`](crate::PipelinedStream), which journals on the
-    /// caller side while the engine lives on the worker thread).
+    /// caller side while the engine may live on a worker thread).
     pub fn take_store(&mut self) -> Option<EngineStore> {
         self.store.take()
-    }
-
-    /// Split borrow: the backend and the attached store, simultaneously
-    /// mutable (the stream needs the backend to emit while the store
-    /// journals).
-    pub fn backend_and_store_mut(&mut self) -> (&mut B, Option<&mut EngineStore>) {
-        (&mut self.backend, self.store.as_mut())
     }
 
     /// Stashes warm-restart recovery data (builder-internal).
@@ -914,16 +898,6 @@ impl<B: CompressionBackend> CompressionEngine<B> {
     /// Per-shard dictionary counters (empty for unsharded backends).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.backend.shard_stats()
-    }
-
-    /// Turns live-sync journaling on or off (no-op for delta-less backends).
-    pub fn set_live_sync(&mut self, enabled: bool) {
-        self.backend.set_live_sync(enabled);
-    }
-
-    /// True when live-sync journaling is on.
-    pub fn live_sync_enabled(&self) -> bool {
-        self.backend.live_sync_enabled()
     }
 
     /// Drains the journal into an ordered delta; see
@@ -1183,7 +1157,6 @@ mod tests {
             .shards(4)
             .workers(2)
             .spawn(SpawnPolicy::Inline)
-            .live_sync(true)
             .build()
             .unwrap();
         let data = sensor_style_data(300, 32);
@@ -1198,7 +1171,6 @@ mod tests {
             .shards(4)
             .workers(2)
             .spawn(SpawnPolicy::Inline)
-            .live_sync(true)
             .build()
             .unwrap();
         restored
@@ -1206,8 +1178,8 @@ mod tests {
             .restore_dictionary_state(&state)
             .unwrap();
         assert!(
-            restored.live_sync_enabled(),
-            "journal flag survives restore"
+            restored.dictionary().journal_enabled(),
+            "a restored dictionary keeps journaling"
         );
         let more = sensor_style_data(100, 32);
         let a = engine.compress_batch(&more).unwrap();

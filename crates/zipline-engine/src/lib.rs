@@ -13,9 +13,10 @@
 //!   [`ShardedDictionary`] splits the basis dictionary into `N` independent
 //!   [`zipline_gd::BasisDictionary`] shards selected by the word-parallel
 //!   basis hash ([`zipline_gd::BitVec::hash_words`]), with per-shard
-//!   statistics, a merged [`DictionarySnapshot`] for *cold* decoder sync and
-//!   a per-shard update journal for *live* sync; batches fan out over a
-//!   fixed pool of `std::thread` workers and reassemble in input order;
+//!   statistics, a merged [`DictionarySnapshot`] of the live mappings and a
+//!   per-shard update journal that keeps decoders in sync; batches fan out
+//!   over a fixed pool of `std::thread` workers and reassemble in input
+//!   order;
 //! * [`DeflateBackend`] — the paper's gzip baseline (via `zipline-deflate`)
 //!   driven through the *same* engine, stream and host path, one gzip
 //!   member per batch; [`PassthroughBackend`] — the identity codec, the
@@ -28,23 +29,19 @@
 //!   change wall-clock time, and the 1-shard configuration is bit-identical
 //!   to [`zipline_gd::GdCompressor::compress_batch`] — a property asserted
 //!   across the trait boundary by the equivalence suite;
-//! * [`EngineStream`] — the streaming pipeline API: push records (e.g. from
-//!   `zipline-traces` workload iterators), get wire-ready payloads out
-//!   through the backend's recycled scratch. With a control sink attached
-//!   ([`EngineStream::control`]) the stream also emits every
-//!   [`DictionaryUpdate`] interleaved with the payloads, which is what keeps
-//!   a remote decoder's table live under identifier churn;
-//! * [`PipelinedStream`] — asynchronous ingest over the same pipeline:
-//!   records flow through a bounded, backpressured channel into a dedicated
-//!   engine worker thread while the caller keeps filling the next
-//!   double-buffered batch, with buffers recycled end to end. Output
-//!   (payloads *and* interleaved control updates) is bit-identical to
-//!   [`EngineStream`], and on a single-core host the stream degrades to
-//!   inline execution under [`SpawnPolicy::Auto`];
+//! * [`PipelinedStream`] — the streaming pipeline API: push records (e.g.
+//!   from `zipline-traces` workload iterators), get whole [`Batch`]es — or,
+//!   through [`PayloadSinks`], wire-ready payloads — out. Every batch
+//!   carries each [`DictionaryUpdate`] placed before the payload that needs
+//!   it, which is what keeps a remote decoder's table exact under
+//!   identifier churn. On an engine built with
+//!   [`pipelined`](EngineBuilder::pipelined) (and a spawn policy that
+//!   allows it) a dedicated engine worker compresses while the caller
+//!   fills the next batch through a bounded, backpressured channel;
+//!   otherwise the stream runs inline. Output is the same bits either way;
 //! * [`EngineBuilder`] — the one validated front door: backend, shards,
-//!   workers, spawn policy, live sync and the
-//!   [`pipelined`](EngineBuilder::pipelined) ingest depth, checked once at
-//!   `build()`.
+//!   workers, spawn policy, the [`pipelined`](EngineBuilder::pipelined)
+//!   ingest depth and durability, checked once at `build()`.
 //!
 //! # The `CompressionBackend` contract
 //!
@@ -77,8 +74,8 @@
 //!    [`UpdateOp::Install`] that recycles the identifier (same `at`);
 //! 3. applying every update with `at <= i` before decoding record `i`
 //!    resolves every `Ref` against exactly the basis the compressor
-//!    referenced — the property the interleaved [`EngineStream`] emission
-//!    and the `zipline` crate's `EngineControlPlane` rely on;
+//!    referenced — the property every stream batch and the `zipline`
+//!    crate's `EngineControlPlane` rely on;
 //! 4. the delta is a pure function of `(data, shard count)`: worker count
 //!    and spawn policy never change it.
 //!
@@ -141,7 +138,7 @@ pub use shard::{
     DictionaryDelta, DictionarySnapshot, DictionaryState, DictionaryUpdate, ShardOutcome,
     ShardState, ShardStats, ShardedDictionary, UpdateOp,
 };
-pub use stream::{BatchSink, EngineStream, PayloadSinks, StreamSummary};
+pub use stream::{BatchSink, PayloadSinks, StreamSummary};
 pub use tenant::{
     flow_dir, flow_placement, plan_resume, reseed_updates, tenant_dir, FlowBatch, FlowDecoderPool,
     FlowError, FlowKey, FlowResume, FlowRouter, FlowRouterConfig, FlowSummary, TenantStats,

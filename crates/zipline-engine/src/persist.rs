@@ -10,7 +10,7 @@
 //!
 //! * **shard store** (`shards.zsl`) — an append-only log of the
 //!   [`DictionaryUpdate`] events every batch produces (the same journal
-//!   live sync drains via `take_delta`), interleaved with periodic
+//!   every stream batch drains via `take_delta`), interleaved with
 //!   compacted **checkpoints** carrying a full [`DictionaryState`];
 //! * **frame log** (`frames.zfl`) — every compressed batch the stream
 //!   emitted (its payloads and the control updates interleaved with them,
@@ -63,10 +63,11 @@
 //!    re-runs on resume);
 //! 2. the dictionary is rebuilt from the newest checkpoint with
 //!    `batch <= C`, then the deltas for `checkpoint+1 ..= C` are folded in
-//!    via [`ShardedDictionary::apply_update`]; with the default
-//!    checkpoint cadence of 1 the checkpoint *is* batch `C` and the
-//!    restored dictionary's future behaviour is bit-identical (recency
-//!    order included); a folded restore is *consistent* (the
+//!    via [`ShardedDictionary::apply_update`]; when the checkpoint *is*
+//!    batch `C` (a finished, compacted stream, or a caller that
+//!    checkpointed that commit) the restored dictionary's future behaviour
+//!    is bit-identical (recency order included); a folded restore — a
+//!    stream killed mid-flight — is *consistent* (the
 //!    `identifier → basis` mapping is exact, recency is approximated) —
 //!    [`WarmStart::exact`] reports which one you got;
 //! 3. anything structurally impossible fails **loudly** as
@@ -376,10 +377,15 @@ pub enum SyncPolicy {
 /// Tuning knobs of an [`EngineStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
-    /// Write a full-state checkpoint every `checkpoint_cadence` committed
-    /// batches. The default of 1 makes every commit exactly recoverable
-    /// (bit-identical future behaviour); larger cadences trade checkpoint
-    /// bytes for delta-fold (*consistent*) recovery.
+    /// The cadence [`EngineStore::checkpoint_due`] answers by: a full-state
+    /// checkpoint every `checkpoint_cadence` committed batches. A checkpoint
+    /// makes its commit exactly recoverable (bit-identical future
+    /// behaviour); between checkpoints recovery folds the deltas
+    /// (*consistent*). Only a caller that drives
+    /// [`EngineStore::commit_batch`] itself consults it: a
+    /// [`PipelinedStream`](crate::PipelinedStream) commits every batch
+    /// without a checkpoint and compacts to one at `finish`, whatever the
+    /// cadence.
     pub checkpoint_cadence: u64,
     /// Crash-durability reach of each commit; see [`SyncPolicy`].
     pub sync: SyncPolicy,

@@ -1,66 +1,50 @@
-//! Pipelined asynchronous ingest: overlap record accumulation with batch
-//! compression.
+//! The engine's one stream: records in, committed batches out, with record
+//! accumulation overlapped with batch compression where the host allows.
 //!
-//! [`EngineStream`](crate::EngineStream) is fully synchronous: while a batch
-//! compresses, ingest stalls, and while the next batch accumulates, the
-//! engine idles. On a host that sits between NIC ingest and the wire (the
-//! deployment `zipline::host` models) those two phases are exactly the work
-//! that should overlap. [`PipelinedStream`] does that with standard-library
-//! primitives only (the workspace is offline/vendored — no tokio):
+//! [`PipelinedStream`] adapts the batch-oriented [`CompressionEngine`] to
+//! record-at-a-time producers (the `zipline-traces` workload iterators, a
+//! server session, the `zipline` host path), for **any**
+//! [`CompressionBackend`]. Records are buffered until a batch's worth of
+//! backend units is available ([`CompressionBackend::unit_bytes`] — GD
+//! chunks, or single bytes for deflate and passthrough); the batch is
+//! compressed, its dictionary delta drained, and every payload serialized
+//! into one [`Batch`] — the payloads back to back, their shapes run-length
+//! coded, the delta's updates placed among them — which is handed whole to
+//! the stream's [`BatchSink`]. The per-payload constructors wrap their
+//! closures in [`PayloadSinks`].
 //!
-//! * the caller pushes records into a **fill buffer**; whenever a batch's
-//!   worth of backend units has accumulated, the buffer is handed to a
-//!   dedicated **engine worker thread** over a *bounded*
-//!   [`std::sync::mpsc::sync_channel`] whose capacity is the pipeline
-//!   *depth* — when the worker falls behind, `push_record` blocks on the
-//!   send, which is the backpressure that keeps memory proportional to
-//!   `depth + 2` batches instead of the stream length;
-//! * the worker owns the [`CompressionEngine`] for the stream's lifetime:
-//!   it compresses each batch, drains the live-sync
-//!   [`DictionaryDelta`](crate::DictionaryDelta), serializes every payload
-//!   through the backend's recycled wire scratch into one
-//!   [`Batch`] — the payloads back to back, their shapes run-
-//!   length coded, the delta's updates placed among them — and sends the
-//!   result back;
-//! * batch buffers are **double-buffered and recycled**: each result carries
-//!   its input buffer and its `Batch` home, and the caller reuses them for
-//!   the next batch (the same scratch-recycling discipline as the engine's
-//!   per-worker `EncodeScratch`), so with a sink that leaves the batch in
-//!   place steady state allocates nothing beyond the per-batch delta `Vec`
-//!   that live sync drains — the same allocation
-//!   [`take_delta`](crate::CompressionBackend::take_delta) makes on the
-//!   synchronous path;
-//! * the caller drains finished batches opportunistically on every push and
-//!   exhaustively at [`finish`](PipelinedStream::finish), handing each one
-//!   whole to the stream's [`BatchSink`] **on the calling
-//!   thread**, in batch order — sinks therefore need no `Send` bound. The
-//!   per-payload constructors wrap their closures in
-//!   [`PayloadSinks`], which expands a batch into
-//!   exactly the call sequence the synchronous stream would have produced.
+//! # Where the engine runs
+//!
+//! The stream takes the [`CompressionEngine`] **by value** and returns it
+//! from [`finish`](PipelinedStream::finish). It then runs on one of two
+//! backings, chosen once at construction from the engine's configuration:
+//!
+//! * **inline** — every batch compresses on the calling thread at dispatch.
+//!   This is the backing of an engine built without
+//!   [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined), of
+//!   [`SpawnPolicy::Inline`], and of [`SpawnPolicy::Auto`] on a one-core
+//!   host;
+//! * **threaded** — a dedicated engine worker owns the engine and the
+//!   caller keeps filling the next batch. Filled batches cross a *bounded*
+//!   [`std::sync::mpsc::sync_channel`] whose capacity is the pipeline depth:
+//!   when the worker falls behind, `push_record` blocks on the send, which
+//!   keeps memory proportional to `depth + 2` batches. Input and output
+//!   buffers are recycled in both directions, and finished batches are
+//!   drained opportunistically on every push and exhaustively at `finish`.
+//!
+//! Sinks always run **on the calling thread**, in batch order, so they need
+//! no `Send` bound.
 //!
 //! # Determinism
 //!
-//! The worker processes batches in FIFO order against the same engine state
-//! the synchronous stream would have used, and both streams stage and
-//! expand a batch through the same code (`stage_batch`, `PayloadSinks`), so
-//! the output — payload bytes
-//! *and* interleaved control updates — remains a pure function of
-//! `(data, shard count, batch size)` and is **bit-identical** to
-//! [`EngineStream`](crate::EngineStream) for every backend, spawn policy and
-//! depth (enforced by `tests/pipelined_ingest.rs`, including churn workloads
-//! with live sync).
-//!
-//! # Single-core degradation
-//!
-//! Under [`SpawnPolicy::Auto`] the stream spawns its worker only when the
-//! host has more than one core — the same fallback the engine's batch
-//! workers use. On a 1-core container it degrades to inline execution on
-//! the calling thread: no channel, no thread, same bytes.
+//! Both backings process batches in FIFO order against the same engine
+//! state and stage them through the same code (`stage_batch`), so the
+//! output — payload bytes *and* interleaved dictionary updates — is a pure
+//! function of `(data, backend, shard count, batch size)`: backing, depth,
+//! spawn policy and worker count never move a bit. `tests/golden/stream.txt`
+//! pins it per batch.
 //!
 //! # Construction
-//!
-//! Opt in through [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined)
-//! (validated at `build()`), then wrap the engine:
 //!
 //! ```
 //! use zipline_engine::{EngineBuilder, PipelinedStream};
@@ -79,12 +63,9 @@
 //! assert!(engine.stats().is_consistent());
 //! ```
 //!
-//! Because the worker must own the engine, `PipelinedStream` takes the
-//! [`CompressionEngine`] **by value** and returns it from `finish` — unlike
-//! `EngineStream`, which borrows. A control sink is attached at
-//! construction ([`PipelinedStream::with_control_sink`]); it cannot be added
-//! later, since for the threaded mode journaling must be enabled before the
-//! engine moves to the worker.
+//! Backends with shared decoder state (GD) journal every dictionary
+//! mutation, so every batch carries its updates; whether they reach the
+//! sink is the sink's [`wants_updates`](BatchSink::wants_updates).
 //!
 //! # Durability (commit-then-emit)
 //!
@@ -93,15 +74,15 @@
 //! [`EngineStore`] is detached at construction and held **caller-side**:
 //! each finished batch is committed (batch record + dictionary delta +
 //! commit marker) on the emitting thread strictly before the sink sees it,
-//! so sinks only ever observe committed output — the same guarantee as the
-//! synchronous [`EngineStream`](crate::EngineStream). Because the
-//! dictionary lives on the worker, mid-stream commits carry no checkpoint;
-//! recovery folds the delta log instead, and
-//! [`finish`](PipelinedStream::finish) compacts the store from the
-//! returned engine (one checkpoint) before re-attaching it. Worker-side
-//! failures surface as typed [`EngineError`]s: a parked compression error
-//! converts via `From<GdError>`, and a worker that vanished without one is
-//! [`EngineError::WorkerLost`].
+//! so sinks only ever observe committed output — a crash either loses an
+//! uncommitted batch (whose input re-runs on resume) or leaves a committed
+//! batch replayable from the store's [`WarmStart`](crate::WarmStart)
+//! journal. Mid-stream commits carry no checkpoint; recovery folds the
+//! delta log, and [`finish`](PipelinedStream::finish) compacts the store
+//! from the returned engine (one checkpoint) before re-attaching it.
+//! Worker-side failures surface as typed [`EngineError`]s: a parked
+//! compression error converts via `From<GdError>`, and a worker that
+//! vanished without one is [`EngineError::WorkerLost`].
 
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::thread::JoinHandle;
@@ -198,9 +179,8 @@ fn run_worker<B: CompressionBackend>(
     engine
 }
 
-/// Compresses one shuttle in place: input → staged [`Batch`]. Identical
-/// sequencing to `EngineStream::emit_batch` (compress, drain journal,
-/// serialize in input order).
+/// Compresses one shuttle in place: input → staged [`Batch`] (compress,
+/// drain journal, serialize in input order).
 fn compress_shuttle<B: CompressionBackend>(
     engine: &mut CompressionEngine<B>,
     shuttle: &mut BatchShuttle,
@@ -223,8 +203,8 @@ struct Threaded<B: CompressionBackend> {
 
 /// Where the engine lives for the stream's lifetime.
 enum Backing<B: CompressionBackend> {
-    /// Single-core / inline fallback: the engine stays on the calling
-    /// thread and every batch compresses synchronously at dispatch.
+    /// The engine stays on the calling thread and every batch compresses
+    /// synchronously at dispatch.
     Inline(Box<CompressionEngine<B>>),
     Threaded(Threaded<B>),
     /// Transient teardown state (after `finish`, or mid-`Drop`).
@@ -250,13 +230,12 @@ where
     summary: StreamSummary,
     /// Durable store, detached from the engine at construction and held on
     /// the **calling** thread: commit-then-emit happens where the sink runs,
-    /// so the sink only ever observes committed batches, while the worker
-    /// owns nothing but the engine. Mid-stream commits carry no checkpoint
-    /// (the dictionary lives on the worker); `finish` compacts the store
-    /// from the returned engine and re-attaches it.
+    /// so the sink only ever observes committed batches, while a worker owns
+    /// nothing but the engine. Mid-stream commits carry no checkpoint;
+    /// `finish` compacts the store from the returned engine and re-attaches
+    /// it.
     store: Option<EngineStore>,
-    /// Reusable staging shuttle for the inline backing, so the inline path
-    /// shares the threaded path's commit-then-emit discipline.
+    /// Reusable staging shuttle for the inline backing.
     inline_shuttle: BatchShuttle,
 }
 
@@ -265,15 +244,11 @@ where
     F: FnMut(PacketType, &[u8]),
     B: CompressionBackend + Send + 'static,
 {
-    /// Creates a pipelined stream that dispatches a batch every
-    /// `batch_units` backend units ([`CompressionBackend::unit_bytes`] each
-    /// — chunks for GD, bytes for deflate/passthrough), emitting each wire
-    /// payload to `sink` as `(packet type, payload bytes)` on the calling
-    /// thread.
-    ///
-    /// The engine must have been built with
-    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined);
-    /// `finish` hands it back.
+    /// Creates a stream that dispatches a batch every `batch_units` backend
+    /// units ([`CompressionBackend::unit_bytes`] each — chunks for GD, bytes
+    /// for deflate/passthrough), emitting each wire payload to `sink` as
+    /// `(packet type, payload bytes)` on the calling thread. `finish` hands
+    /// the engine back.
     pub fn new(engine: CompressionEngine<B>, batch_units: usize, sink: F) -> Result<Self> {
         Self::with_control_sink(engine, batch_units, sink, None)
     }
@@ -285,12 +260,10 @@ where
     G: FnMut(&DictionaryUpdate),
     B: CompressionBackend + Send + 'static,
 {
-    /// Creates a pipelined stream with an optional live-sync control sink.
-    /// When `control_sink` is `Some`, journaling is enabled on the backend
-    /// (before the engine moves to the worker) and every install/evict
-    /// event is handed to the sink interleaved with the payloads, exactly
-    /// as [`EngineStream::with_control_sink`](crate::EngineStream::with_control_sink)
-    /// would.
+    /// Creates a stream with an optional control sink. When `control_sink`
+    /// is `Some`, every install/evict event is handed to it interleaved with
+    /// the payloads, in the order a decoder must apply them (each update
+    /// strictly before the payload at whose position it happened).
     pub fn with_control_sink(
         engine: CompressionEngine<B>,
         batch_units: usize,
@@ -301,9 +274,8 @@ where
     }
 
     /// Attaches a [`CodecCursor`] the stream publishes each batch's codec
-    /// tag through, exactly as
-    /// [`EngineStream::set_codec_cursor`](crate::EngineStream::set_codec_cursor)
-    /// does: `Some(id)` while a tagging backend's batch flows to the sink,
+    /// tag through: `Some(id)` while a tagging backend's
+    /// ([`CompressionBackend::tags_batches`]) batch flows to the sink,
     /// `None` for fixed backends.
     pub fn set_codec_cursor(&mut self, cursor: CodecCursor) {
         self.sink.set_codec_cursor(cursor);
@@ -315,37 +287,33 @@ where
     S: BatchSink,
     B: CompressionBackend + Send + 'static,
 {
-    /// Creates a pipelined stream that hands each finished batch, whole, to
-    /// `sink` on the calling thread. When the sink
-    /// [wants updates](BatchSink::wants_updates), journaling is enabled on
-    /// the backend before the engine moves to the worker.
+    /// Creates a stream that hands each finished batch, whole, to `sink` on
+    /// the calling thread. The stream runs threaded only when the engine
+    /// carries a [`PipelineConfig`] whose spawn policy allows a worker (see
+    /// the module docs).
     pub fn with_batch_sink(
         mut engine: CompressionEngine<B>,
         batch_units: usize,
         sink: S,
     ) -> Result<Self> {
-        let pipeline = engine.pipeline().ok_or_else(|| {
-            GdError::InvalidConfig(
-                "engine was not configured for pipelined ingest; \
-                 opt in with EngineBuilder::pipelined(depth)"
-                    .into(),
-            )
-        })?;
-        pipeline.validate()?;
         let unit_bytes = engine.backend().unit_bytes().max(1);
-        if sink.wants_updates() {
-            engine.set_live_sync(true);
-        }
+        let worker_depth = match engine.pipeline() {
+            Some(pipeline) => {
+                pipeline.validate()?;
+                let spawns = match pipeline.spawn {
+                    SpawnPolicy::Inline => false,
+                    SpawnPolicy::Threads => true,
+                    SpawnPolicy::Auto => host_cores() > 1,
+                };
+                spawns.then_some(pipeline.depth)
+            }
+            None => None,
+        };
         // The store stays caller-side; only the engine crosses to the
         // worker thread.
         let store = engine.take_store();
-        let threaded = match pipeline.spawn {
-            SpawnPolicy::Inline => false,
-            SpawnPolicy::Threads => true,
-            SpawnPolicy::Auto => host_cores() > 1,
-        };
-        let backing = if threaded {
-            let (jobs, job_rx) = sync_channel::<BatchShuttle>(pipeline.depth);
+        let backing = if let Some(depth) = worker_depth {
+            let (jobs, job_rx) = sync_channel::<BatchShuttle>(depth);
             let (result_tx, results) = std::sync::mpsc::channel();
             let worker = std::thread::Builder::new()
                 .name("zipline-pipelined".into())
@@ -372,8 +340,9 @@ where
     }
 
     /// True when the stream runs an engine worker thread (false on the
-    /// inline fallback — single-core hosts under [`SpawnPolicy::Auto`], or
-    /// [`SpawnPolicy::Inline`]).
+    /// inline backing — an engine without a [`PipelineConfig`],
+    /// [`SpawnPolicy::Inline`], or a one-core host under
+    /// [`SpawnPolicy::Auto`]).
     pub fn is_threaded(&self) -> bool {
         matches!(self.backing, Backing::Threaded(_))
     }
@@ -591,13 +560,28 @@ mod tests {
     }
 
     #[test]
-    fn unpipelined_engine_is_rejected() {
-        let engine = EngineBuilder::new().build().unwrap();
-        let err = match PipelinedStream::new(engine, 16, |_, _| {}) {
-            Ok(_) => panic!("an engine without a pipeline config must be rejected"),
-            Err(e) => e,
+    fn unpipelined_engine_streams_inline() {
+        let data: Vec<u8> = (0..32 * 200).map(|i| (i / 640) as u8).collect();
+        let builder = || {
+            EngineBuilder::new()
+                .shards(4)
+                .workers(2)
+                .spawn(SpawnPolicy::Threads)
         };
-        assert!(matches!(err, EngineError::Gd(GdError::InvalidConfig(_))));
+        let engine = builder().build().unwrap();
+        assert!(engine.pipeline().is_none());
+        let mut emitted = Vec::new();
+        let mut stream = PipelinedStream::new(engine, 16, |pt, bytes: &[u8]| {
+            emitted.push((pt, bytes.to_vec()));
+        })
+        .unwrap();
+        assert!(!stream.is_threaded(), "no pipeline config, no worker");
+        stream.push_record(&data).unwrap();
+        stream.finish().unwrap();
+        assert_eq!(
+            emitted,
+            collect_pipelined(builder().pipelined(2), 16, &data)
+        );
     }
 
     #[test]

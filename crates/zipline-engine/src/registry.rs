@@ -369,14 +369,6 @@ impl CompressionBackend for HybridGdDeflateBackend {
         true
     }
 
-    fn set_live_sync(&mut self, enabled: bool) {
-        self.gd.set_live_sync(enabled);
-    }
-
-    fn live_sync_enabled(&self) -> bool {
-        self.gd.live_sync_enabled()
-    }
-
     fn take_delta(&mut self) -> DictionaryDelta {
         let mut delta = self.gd.take_delta();
         // The whole batch is one wire payload at position 0: every update
@@ -797,14 +789,6 @@ impl CompressionBackend for AutoBackend {
         true
     }
 
-    fn set_live_sync(&mut self, enabled: bool) {
-        self.gd.set_live_sync(enabled);
-    }
-
-    fn live_sync_enabled(&self) -> bool {
-        self.gd.live_sync_enabled()
-    }
-
     fn take_delta(&mut self) -> DictionaryDelta {
         self.gd.take_delta()
     }
@@ -1147,7 +1131,6 @@ mod tests {
     fn hybrid_remaps_all_updates_to_position_zero() {
         let config = test_config();
         let mut hybrid = HybridGdDeflateBackend::new(config, Level::Fast).unwrap();
-        hybrid.set_live_sync(true);
         let data = vec![3u8; config.gd.chunk_bytes * 8];
         let member = hybrid.compress_batch(&data).unwrap();
         let delta = hybrid.take_delta();
@@ -1252,11 +1235,7 @@ mod tests {
     #[test]
     fn registry_decompressor_applies_reseeds_before_first_payload() {
         let config = test_config();
-        let mut engine = EngineBuilder::new()
-            .config(config)
-            .live_sync(true)
-            .build()
-            .unwrap();
+        let mut engine = EngineBuilder::new().config(config).build().unwrap();
         let data = vec![0x42u8; config.gd.chunk_bytes * 4];
         let stream = engine.compress_batch(&data).unwrap();
         let updates = engine.take_delta().updates;

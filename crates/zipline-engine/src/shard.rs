@@ -19,13 +19,14 @@
 //! makes the 1-shard engine bit-identical to [`zipline_gd::GdCompressor`].
 //!
 //! [`DictionarySnapshot`] is the merged, shard-transparent view: global
-//! `(identifier, basis)` pairs plus per-shard occupancy and counters. The
-//! control plane uses it to sync a decoder's deviation table *cold* (see
-//! `ZipLineDecodeProgram::install_snapshot` in the `zipline` crate).
+//! `(identifier, basis)` pairs plus per-shard occupancy and counters. A
+//! warm restart re-announces the live mappings from it; it cannot sync a
+//! decoder on its own, because a post-hoc snapshot aliases identifiers the
+//! dictionary recycled.
 //!
-//! For *live* decoder sync — required once the dictionary churns past its
-//! capacity and identifiers are recycled — every shard additionally keeps an
-//! **update journal**: [`enable_journal`](ShardedDictionary::enable_journal)
+//! Decoder sync — exact even once the dictionary churns past its capacity
+//! and identifiers are recycled — runs on each shard's **update
+//! journal**: [`enable_journal`](ShardedDictionary::enable_journal)
 //! makes [`classify_at`](ShardedDictionary::classify_at) record an
 //! [`UpdateOp::Remove`] for each evicted mapping and an [`UpdateOp::Install`]
 //! for each learned basis, tagged with the caller's record position and a

@@ -132,9 +132,6 @@ pub struct FlowRouterConfig {
     pub engine: EngineConfig,
     /// Batch size in backend units (chunks for GD) per flow.
     pub batch_units: usize,
-    /// Whether flows stream live dictionary updates (inside each
-    /// [`FlowBatch`]) ahead of the payloads needing them.
-    pub live_sync: bool,
     /// Pipeline depth handed to [`EngineBuilder::pipelined`] per flow.
     pub pipeline_depth: usize,
     /// The tenant budget: maximum concurrent flows (engine partitions,
@@ -143,21 +140,21 @@ pub struct FlowRouterConfig {
     /// Durable root; when set every flow journals under
     /// [`flow_dir`]`(root, key)`.
     pub durable_root: Option<PathBuf>,
-    /// Checkpoint cadence for durable flows (batches per checkpoint).
+    /// [`StoreOptions::checkpoint_cadence`](crate::StoreOptions::checkpoint_cadence)
+    /// of durable flows. No flow stream consults it: each batch commits
+    /// without a checkpoint and a finished flow compacts to one.
     pub checkpoint_cadence: u64,
     /// Sync policy for durable flows.
     pub sync: SyncPolicy,
 }
 
 impl FlowRouterConfig {
-    /// A router over `engine`-shaped partitions with live sync on,
-    /// 64-unit batches, depth-2 pipelines, a 64-flow tenant budget and no
+    /// A router over `engine`-shaped partitions with 64-unit batches, depth-2 pipelines, a 64-flow tenant budget and no
     /// durability.
     pub fn new(engine: EngineConfig) -> Self {
         Self {
             engine,
             batch_units: 64,
-            live_sync: true,
             pipeline_depth: 2,
             partitions_per_tenant: 64,
             durable_root: None,
@@ -463,18 +460,17 @@ pub fn reseed_updates<B: CompressionBackend>(
 /// The router's shared queue of tagged emissions.
 type FlowQueue = Rc<RefCell<VecDeque<FlowBatch>>>;
 
-/// One flow's batch sink: moves each finished batch, buffers and all, into
-/// the router's queue under the flow's key.
+/// One flow's batch sink: moves each finished batch, buffers and all —
+/// dictionary updates included — into the router's queue under the flow's
+/// key.
 struct QueueSink {
     key: FlowKey,
-    /// Whether the flow streams its dictionary updates.
-    live: bool,
     queue: FlowQueue,
 }
 
 impl BatchSink for QueueSink {
     fn wants_updates(&self) -> bool {
-        self.live
+        true
     }
 
     fn batch(&mut self, batch: &mut Batch) {
@@ -590,7 +586,6 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
         let mut builder = EngineBuilder::new()
             .config(self.config.engine)
             .backend(backend)
-            .live_sync(self.config.live_sync)
             .pipelined(self.config.pipeline_depth);
         if let Some(root) = &self.config.durable_root {
             builder = builder
@@ -601,14 +596,8 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
         let mut engine = builder.build()?;
         let resume = plan_resume(&mut engine, entries_held)?;
 
-        // Mirror the single-stream server: live emission when the engine
-        // journal is already on (warm restart) or the config asks for it
-        // and the backend can.
-        let live = engine.live_sync_enabled()
-            || (self.config.live_sync && engine.backend().supports_live_sync());
         let sink = QueueSink {
             key,
-            live,
             queue: Rc::clone(&self.events),
         };
         let stream = PipelinedStream::with_batch_sink(engine, self.config.batch_units, sink)?;

@@ -1,18 +1,19 @@
 //! Property-test suite for the non-GD backends (ISSUE 4 acceptance):
 //!
 //! * [`DeflateBackend`] roundtrips arbitrary record batches bit-exactly
-//!   through [`EngineStream`] for **any** shard/worker/spawn shape and batch
+//!   through [`PipelinedStream`] for **any** shard/worker/spawn shape and batch
 //!   size — the engine axes it deliberately ignores must never change its
 //!   bytes, and the wire form must always restore;
 //! * the deflate wire output itself is a pure function of `(data, batch
 //!   boundaries)` — worker count and spawn policy never change a byte;
 //! * [`PassthroughBackend`] is the identity on the wire (the ratio floor);
-//! * attaching a live-sync control sink to a delta-less backend is a
+//! * attaching a control sink to a delta-less backend is a
 //!   harmless no-op: zero updates, identical payloads.
 
 use proptest::prelude::*;
 use zipline_engine::{
-    DeflateBackend, DictionaryUpdate, EngineBuilder, EngineStream, PassthroughBackend, SpawnPolicy,
+    DeflateBackend, DictionaryUpdate, EngineBuilder, PassthroughBackend, PipelinedStream,
+    SpawnPolicy,
 };
 use zipline_gd::packet::PacketType;
 
@@ -33,17 +34,19 @@ fn deflate_wire(
     batch_units: usize,
     records: &[Vec<u8>],
 ) -> Vec<(PacketType, Vec<u8>)> {
-    let mut engine = EngineBuilder::new()
+    let engine = EngineBuilder::new()
         .shards(shards)
         .workers(workers)
         .spawn(spawn)
+        .pipelined(2)
         .backend(DeflateBackend::default())
         .build()
         .expect("valid engine shape");
     let mut wire = Vec::new();
-    let mut stream = EngineStream::new(&mut engine, batch_units, |pt, bytes| {
+    let mut stream = PipelinedStream::new(engine, batch_units, |pt, bytes: &[u8]| {
         wire.push((pt, bytes.to_vec()));
-    });
+    })
+    .expect("valid stream");
     for record in records {
         stream.push_record(record).expect("push succeeds");
     }
@@ -103,21 +106,27 @@ proptest! {
         spawn_selector in any::<u8>(),
         batch_units in 1usize..300,
     ) {
-        let mut engine = EngineBuilder::new()
+        let engine = EngineBuilder::new()
             .workers(workers)
             .spawn(spawn_of(spawn_selector))
+            .pipelined(2)
             .backend(PassthroughBackend::new())
             .build()
             .expect("valid engine shape");
         let mut wire = Vec::new();
         let mut updates = 0usize;
-        let mut stream = EngineStream::new(&mut engine, batch_units, |pt, bytes: &[u8]| {
-            assert_eq!(pt, PacketType::Raw);
-            wire.extend_from_slice(bytes);
-        })
-        .control(|_: &DictionaryUpdate| updates += 1);
+        let mut stream = PipelinedStream::with_control_sink(
+            engine,
+            batch_units,
+            |pt, bytes: &[u8]| {
+                assert_eq!(pt, PacketType::Raw);
+                wire.extend_from_slice(bytes);
+            },
+            Some(|_: &DictionaryUpdate| updates += 1),
+        )
+        .expect("valid stream");
         stream.push_record(&data).expect("push succeeds");
-        let summary = stream.finish().expect("finish succeeds");
+        let (engine, summary) = stream.finish().expect("finish succeeds");
         prop_assert_eq!(&wire, &data);
         prop_assert_eq!(summary.wire_bytes, data.len() as u64);
         prop_assert_eq!(summary.control_updates, 0);

@@ -8,7 +8,7 @@
 //! * the router gzips its prefix sample only where the estimate decides, and
 //!   routes exactly as the router that gzipped it on every batch;
 //! * property test: tagged mixed-codec streams roundtrip bit-identically
-//!   through `EngineStream`, `PipelinedStream` and the durable store — the
+//!   through `PipelinedStream` inline and threaded and the durable store — the
 //!   per-batch codec tags survive every path and a `RegistryDecompressor`
 //!   reconstructs the input from the tags alone.
 
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use zipline_deflate::Level;
 use zipline_engine::{
     AutoBackend, AutoConfig, CodecCursor, CodecId, CommittedEntry, CompressionBackend,
-    DeflateBackend, DictionaryUpdate, EngineBuilder, EngineConfig, EngineStream, GdBackend,
+    DeflateBackend, DictionaryUpdate, EngineBuilder, EngineConfig, GdBackend,
     HybridGdDeflateBackend, PipelinedStream, RegistryDecompressor, SpawnPolicy, CODEC_DEFLATE,
     CODEC_GD,
 };
@@ -275,14 +275,14 @@ fn mixed_data(
 
 fn auto_builder(dir: Option<&PathBuf>) -> EngineBuilder<AutoBackend> {
     let config = config();
-    let mut builder = EngineBuilder::new().config(config).live_sync(true);
+    let mut builder = EngineBuilder::new().config(config);
     if let Some(dir) = dir {
         builder = builder.durable(dir.clone());
     }
     builder.backend(AutoBackend::new(config, AutoConfig::default()).expect("auto builds"))
 }
 
-/// Runs `data` through a synchronous tagged `EngineStream`, collecting the
+/// Runs `data` through a tagged inline `PipelinedStream`, collecting the
 /// interleaved events with each payload's codec tag sampled off the cursor.
 fn run_tagged_stream(
     dir: Option<&PathBuf>,
@@ -290,7 +290,7 @@ fn run_tagged_stream(
     batch_units: usize,
     finish: bool,
 ) -> Vec<Event> {
-    let mut engine = auto_builder(dir).build().expect("engine builds");
+    let engine = auto_builder(dir).build().expect("engine builds");
     let events: RefCell<Vec<Event>> = RefCell::new(Vec::new());
     let cursor = CodecCursor::new();
     let sampled = cursor.clone();
@@ -302,7 +302,8 @@ fn run_tagged_stream(
     let control_sink = Some(|update: &DictionaryUpdate| {
         events.borrow_mut().push(Event::Update(update.clone()));
     });
-    let mut stream = EngineStream::with_control_sink(&mut engine, batch_units, sink, control_sink);
+    let mut stream = PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink)
+        .expect("stream builds");
     stream.set_codec_cursor(cursor);
     stream.push_record(data).expect("push succeeds");
     if finish {
@@ -352,7 +353,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Tagged mixed-codec streams roundtrip bit-identically through the
-    /// synchronous stream, the pipelined stream and the durable store.
+    /// inline stream, the threaded stream and the durable store.
     #[test]
     fn tagged_mixed_codec_streams_roundtrip_bit_identically(
         seed in any::<u64>(),
@@ -363,14 +364,18 @@ proptest! {
         let batch_units = 16usize;
         let data = mixed_data(seed, segments, batches_per_segment * batch_units, chunk);
 
-        // Path 1: synchronous EngineStream.
+        // Path 1: the inline stream.
         let reference = run_tagged_stream(None, &data, batch_units, true);
         prop_assert!(reference.iter().all(|e| !matches!(e, Event::Payload(None, ..))),
             "a tagging backend leaves no payload untagged");
         prop_assert_eq!(decode(&reference), data.clone());
 
-        // Path 2: PipelinedStream — byte- and tag-identical to path 1.
-        let engine = auto_builder(None).pipelined(2).build().expect("engine builds");
+        // Path 2: the threaded stream — byte- and tag-identical to path 1.
+        let engine = auto_builder(None)
+            .pipelined(2)
+            .spawn(SpawnPolicy::Threads)
+            .build()
+            .expect("engine builds");
         let events: RefCell<Vec<Event>> = RefCell::new(Vec::new());
         let cursor = CodecCursor::new();
         let sampled = cursor.clone();

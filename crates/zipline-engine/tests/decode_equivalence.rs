@@ -28,7 +28,7 @@ use std::cell::RefCell;
 
 use zipline_engine::tenant::{FlowDecoderPool, FlowKey};
 use zipline_engine::{
-    CompressionEngine, DictionaryUpdate, EngineConfig, EngineDecompressor, EngineStream,
+    CompressionEngine, DictionaryUpdate, EngineConfig, EngineDecompressor, PipelinedStream,
     ShardedDictionary, SpawnPolicy, UpdateOp,
 };
 use zipline_gd::bits::BitVec;
@@ -258,10 +258,10 @@ enum WireEvent {
     Payload(PacketType, Vec<u8>),
 }
 
-/// `data` through a live-sync [`EngineStream`]: control updates and payloads
-/// in emission order, plus the compressor's statistics.
-fn live_sync_events(config: EngineConfig, data: &[u8]) -> (Vec<WireEvent>, CompressionStats) {
-    let mut engine = CompressionEngine::new(config).unwrap();
+/// `data` through a [`PipelinedStream`] with a control sink: control
+/// updates and payloads in emission order, plus the compressor's statistics.
+fn stream_events(config: EngineConfig, data: &[u8]) -> (Vec<WireEvent>, CompressionStats) {
+    let engine = CompressionEngine::new(config).unwrap();
     let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
     let sink = |pt: PacketType, bytes: &[u8]| {
         events
@@ -272,9 +272,9 @@ fn live_sync_events(config: EngineConfig, data: &[u8]) -> (Vec<WireEvent>, Compr
         events.borrow_mut().push(WireEvent::Update(update.clone()));
     };
     let mut stream =
-        EngineStream::with_control_sink(&mut engine, BATCH_CHUNKS, sink, Some(control_sink));
+        PipelinedStream::with_control_sink(engine, BATCH_CHUNKS, sink, Some(control_sink)).unwrap();
     stream.push_record(data).unwrap();
-    stream.finish().unwrap();
+    let (engine, _) = stream.finish().unwrap();
     (events.into_inner(), engine.stats())
 }
 
@@ -306,7 +306,7 @@ fn payload_api_matches_the_reference_with_updates_applied_observed_and_absent() 
     for (label, config) in configs() {
         for (name, data) in streams(&config.gd) {
             let context = format!("{label} / {name}");
-            let (events, compressor) = live_sync_events(config, &data);
+            let (events, compressor) = stream_events(config, &data);
             if matches!(name, "churn" | "pool") {
                 assert!(
                     compressor.evictions >= 2 * config.gd.dictionary_capacity() as u64,

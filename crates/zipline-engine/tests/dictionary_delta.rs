@@ -31,7 +31,6 @@ fn engine(gd: GdConfig, shards: usize, workers: usize, spawn: SpawnPolicy) -> Co
         .shards(shards)
         .workers(workers)
         .spawn(spawn)
-        .live_sync(true)
         .build()
         .unwrap()
 }

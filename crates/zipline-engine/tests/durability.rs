@@ -8,13 +8,18 @@
 //! no duplicated, lost or silently altered wire bytes. Durability must
 //! also be observably free when nothing crashes: a durable stream emits
 //! the same bytes as an in-memory one.
+//!
+//! A stream commits each batch without a checkpoint, so a stream killed
+//! mid-flight recovers by folding deltas; the exact (checkpointed) case is
+//! driven through [`EngineStore::commit_batch`] by hand, as a caller that
+//! checkpoints every commit would.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
 
 use zipline_engine::{
-    CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStream, GdBackend,
-    PipelinedStream, SpawnPolicy,
+    Batch, BatchEvent, CommittedEntry, CompressionBackend, CompressionEngine, DictionaryUpdate,
+    EngineBuilder, EngineStore, GdBackend, PipelinedStream, SpawnPolicy,
 };
 use zipline_gd::config::GdConfig;
 use zipline_gd::packet::PacketType;
@@ -35,26 +40,25 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Small churny engine: 64 identifiers, 32-byte chunks, live sync on.
+/// Small churny engine: 64 identifiers, 32-byte chunks.
 fn builder(dir: Option<&PathBuf>) -> EngineBuilder {
     let mut b = EngineBuilder::new()
         .gd(GdConfig::for_parameters(8, 6).unwrap())
         .shards(4)
         .workers(2)
-        .spawn(SpawnPolicy::Inline)
-        .live_sync(true);
+        .spawn(SpawnPolicy::Inline);
     if let Some(dir) = dir {
         b = b.durable(dir.clone());
     }
     b
 }
 
-/// Runs `data` through a synchronous [`EngineStream`] over `engine`,
-/// collecting the interleaved wire events. `finish` controls whether the
-/// stream is completed (trailing flush + store compaction) or dropped
-/// mid-flight like a crashed process.
+/// Runs `data` through a [`PipelinedStream`] over `engine`, collecting the
+/// interleaved wire events. `finish` controls whether the stream is
+/// completed (trailing flush + store compaction) or dropped mid-flight like
+/// a crashed process.
 fn run_stream(
-    engine: &mut CompressionEngine<GdBackend>,
+    engine: CompressionEngine<GdBackend>,
     batch_units: usize,
     data: &[u8],
     finish: bool,
@@ -68,7 +72,8 @@ fn run_stream(
     let control_sink = Some(|update: &DictionaryUpdate| {
         events.borrow_mut().push(WireEvent::Update(update.clone()));
     });
-    let mut stream = EngineStream::with_control_sink(engine, batch_units, sink, control_sink);
+    let mut stream =
+        PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink).unwrap();
     stream.push_record(data).unwrap();
     if finish {
         stream.finish().unwrap();
@@ -76,6 +81,38 @@ fn run_stream(
         drop(stream);
     }
     events.into_inner()
+}
+
+/// Compresses `data` (whole batches only) and commits every batch to
+/// `engine`'s store by hand, each with a checkpoint, returning the wire
+/// events in commit order. The writer then dies without compacting.
+fn commit_with_checkpoints(
+    mut engine: CompressionEngine<GdBackend>,
+    batch_units: usize,
+    data: &[u8],
+) -> Vec<WireEvent> {
+    let mut store: EngineStore = engine.take_store().expect("durable engine");
+    let mut events = Vec::new();
+    let mut staged = Batch::default();
+    for input in data.chunks_exact(batch_units * 32) {
+        let compressed = engine.compress_batch(input).unwrap();
+        staged.clear();
+        engine
+            .backend_mut()
+            .emit_batch(compressed, &mut |pt, bytes| staged.push_payload(pt, bytes))
+            .unwrap();
+        staged.place_updates(engine.take_delta().updates);
+        assert!(store.checkpoint_due(), "cadence 1 checkpoints every commit");
+        let state = engine.backend().export_dictionary_state();
+        store
+            .commit_batch(&staged, state.as_ref(), input.len() as u64)
+            .unwrap();
+        events.extend(staged.events().map(|event| match event {
+            BatchEvent::Update(update) => WireEvent::Update(update.clone()),
+            BatchEvent::Payload(pt, bytes) => WireEvent::Payload(pt, bytes.to_vec()),
+        }));
+    }
+    events
 }
 
 /// The store's committed entries in the same event shape the sinks see.
@@ -96,22 +133,23 @@ fn durable_stream_emits_the_same_bytes_as_an_in_memory_one() {
     let dir = store_dir("transparent");
     let data = CrashWorkload::exceeding_capacity(64, 4, 32).full().bytes();
 
-    let mut plain = builder(None).build().unwrap();
-    let reference = run_stream(&mut plain, 16, &data, true);
+    let plain = builder(None).build().unwrap();
+    let reference = run_stream(plain, 16, &data, true);
 
     let mut durable = builder(Some(&dir)).build().unwrap();
     assert!(durable.take_warm_start().is_none(), "fresh store is cold");
-    let observed = run_stream(&mut durable, 16, &data, true);
+    let observed = run_stream(durable, 16, &data, true);
 
     assert_eq!(observed, reference, "commit-then-emit changes no byte");
     assert!(reference.iter().any(|e| matches!(e, WireEvent::Update(_))));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The tentpole acceptance property at a batch boundary: kill the writer
-/// after N whole batches (no finish, no compaction), restart over the same
-/// directory, and the committed frames plus the resumed stream's frames
-/// are bit-identical to one uninterrupted run.
+/// The tentpole acceptance property at a batch boundary: kill a writer that
+/// checkpointed every commit after N whole batches (no finish, no
+/// compaction), restart over the same directory, and the dictionary
+/// restores exactly and the committed frames plus the resumed stream's
+/// frames are bit-identical to one uninterrupted run.
 #[test]
 fn killed_stream_resumes_bit_identically_from_the_last_commit() {
     let workload = CrashWorkload::exceeding_capacity(64, 4, 32);
@@ -119,8 +157,7 @@ fn killed_stream_resumes_bit_identically_from_the_last_commit() {
     let batch_units = 16usize;
     let chunk = 32usize;
 
-    let mut reference_engine = builder(None).build().unwrap();
-    let reference = run_stream(&mut reference_engine, batch_units, &data, true);
+    let reference = run_stream(builder(None).build().unwrap(), batch_units, &data, true);
 
     // Sweep several kill points (in whole batches) including one past the
     // dictionary's first eviction wave.
@@ -129,11 +166,10 @@ fn killed_stream_resumes_bit_identically_from_the_last_commit() {
         let cut = kill_after_batches * batch_units * chunk;
         assert!(cut < data.len(), "kill point inside the stream");
 
-        // Phase 1: the doomed writer. Whole batches only — the buffered
-        // remainder (none here) and anything unfinished die with it.
-        let mut engine = builder(Some(&dir)).build().unwrap();
-        let emitted_before = run_stream(&mut engine, batch_units, &data[..cut], false);
-        drop(engine);
+        // Phase 1: the doomed writer. Whole batches only, each committed
+        // with a checkpoint; it dies without compacting.
+        let engine = builder(Some(&dir)).build().unwrap();
+        let emitted_before = commit_with_checkpoints(engine, batch_units, &data[..cut]);
 
         // Phase 2: restart. The store must hand back exactly what phase 1
         // emitted (sinks only see committed batches, and every whole batch
@@ -147,7 +183,7 @@ fn killed_stream_resumes_bit_identically_from_the_last_commit() {
         assert_eq!(committed, emitted_before, "durable output = emitted output");
 
         // Phase 3: resume feeding from the recovered cursor.
-        let resumed = run_stream(&mut engine, batch_units, &data[cut..], true);
+        let resumed = run_stream(engine, batch_units, &data[cut..], true);
 
         let mut rejoined = committed;
         rejoined.extend(resumed);
@@ -172,9 +208,8 @@ fn mid_batch_kill_loses_only_the_uncommitted_tail() {
     // 2 whole batches plus 5 chunks of a third: the tail never commits.
     let cut = (2 * batch_units + 5) * 32;
 
-    let mut engine = builder(Some(&dir)).build().unwrap();
-    let emitted = run_stream(&mut engine, batch_units, &data[..cut], false);
-    drop(engine);
+    let engine = builder(Some(&dir)).build().unwrap();
+    let emitted = run_stream(engine, batch_units, &data[..cut], false);
 
     let mut engine = builder(Some(&dir)).build().unwrap();
     let warm = engine.take_warm_start().expect("store is warm");
@@ -188,18 +223,15 @@ fn mid_batch_kill_loses_only_the_uncommitted_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The pipelined stream holds the store caller-side and commits before
-/// emitting; its durable output matches the synchronous durable stream
+/// The stream holds the store caller-side and commits before emitting;
+/// inline and threaded, its durable output matches the in-memory stream
 /// byte for byte, and after `finish` the store is compacted and
 /// re-attached so a reopen warm-starts at the full stream boundary.
 #[test]
 fn pipelined_durable_stream_matches_and_reattaches_the_store() {
     let data = CrashWorkload::exceeding_capacity(64, 4, 32).full().bytes();
     let batch_units = 16usize;
-
-    let sync_dir = store_dir("piped-sync");
-    let mut sync_engine = builder(Some(&sync_dir)).build().unwrap();
-    let reference = run_stream(&mut sync_engine, batch_units, &data, true);
+    let reference = run_stream(builder(None).build().unwrap(), batch_units, &data, true);
 
     for spawn in [SpawnPolicy::Inline, SpawnPolicy::Threads] {
         let dir = store_dir(&format!("piped-{spawn:?}"));
@@ -224,7 +256,7 @@ fn pipelined_durable_stream_matches_and_reattaches_the_store() {
         assert_eq!(
             events.into_inner(),
             reference,
-            "spawn = {spawn:?}: pipelined durable wire diverges"
+            "spawn = {spawn:?}: durable wire diverges"
         );
         let store = engine.store().expect("finish re-attaches the store");
         let batch_bytes = batch_units * 32;
@@ -241,12 +273,10 @@ fn pipelined_durable_stream_matches_and_reattaches_the_store() {
         assert!(warm.committed.is_empty(), "compaction retired the journal");
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&sync_dir);
 }
 
-/// A killed *pipelined* writer recovers exactly like the synchronous one:
-/// the committed prefix plus a resumed synchronous run reproduces the
-/// uninterrupted wire.
+/// A killed *threaded* writer recovers at a commit boundary: the committed
+/// prefix plus a resumed run reproduces the uninterrupted wire.
 #[test]
 fn killed_pipelined_stream_recovers_at_a_commit_boundary() {
     let workload = CrashWorkload::exceeding_capacity(64, 4, 32);
@@ -255,8 +285,7 @@ fn killed_pipelined_stream_recovers_at_a_commit_boundary() {
     let cut = workload.crash_offset_bytes();
     assert_eq!(cut % (batch_units * 32), 0, "crash at a batch boundary");
 
-    let mut reference_engine = builder(None).build().unwrap();
-    let reference = run_stream(&mut reference_engine, batch_units, &data, true);
+    let reference = run_stream(builder(None).build().unwrap(), batch_units, &data, true);
 
     let dir = store_dir("piped-kill");
     let engine = builder(Some(&dir))
@@ -286,7 +315,7 @@ fn killed_pipelined_stream_recovers_at_a_commit_boundary() {
         "pipelined commits carry no checkpoints; recovery folds the delta log"
     );
     let mut rejoined = committed_events(warm.committed);
-    rejoined.extend(run_stream(&mut engine, batch_units, &data[resume..], true));
+    rejoined.extend(run_stream(engine, batch_units, &data[resume..], true));
     assert_eq!(rejoined, reference);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,10 +8,11 @@
 //!   [`GdCompressor::compress_batch`], records and statistics included;
 //! * [`GdDecompressor::decompress_batch`] (the recycled-scratch batch decode)
 //!   equals the per-record reference loop;
-//! * (ISSUE 3) the live-sync interleaved control+data stream roundtrips
-//!   bit-exactly for any shard/worker/spawn shape, including workloads that
-//!   churn the dictionary far past capacity — a decoder driven only by the
-//!   in-order event stream never sees an identifier it cannot restore;
+//! * the interleaved control+data stream roundtrips bit-exactly for any
+//!   shard/worker/spawn shape, including workloads that churn the
+//!   dictionary far past capacity — a decoder driven only by the in-order
+//!   event stream never sees an identifier it cannot restore — and the
+//!   golden stream table (`tests/golden/`) holds at any worker count;
 //! * (ISSUE 4) the same 1-shard/1-worker equivalence holds across the
 //!   [`CompressionBackend`] trait boundary — the generic engine cannot
 //!   drift from `GdCompressor::compress_batch` however it is driven.
@@ -24,7 +25,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use zipline_engine::{
     CompressionBackend, CompressionEngine, DictionaryUpdate, EngineConfig, EngineDecompressor,
-    EngineStream, GdBackend, SpawnPolicy, UpdateOp,
+    GdBackend, PipelinedStream, SpawnPolicy, UpdateOp,
 };
 use zipline_gd::bits::BitVec;
 use zipline_gd::codec::{
@@ -61,18 +62,18 @@ fn spawn_of(selector: u8) -> SpawnPolicy {
     }
 }
 
-/// One element of the live-sync wire: a dictionary update or a payload, in
-/// emission order.
+/// One element of the wire: a dictionary update or a payload, in emission
+/// order.
 #[derive(Debug, Clone)]
 enum WireEvent {
     Update(DictionaryUpdate),
     Payload(PacketType, Vec<u8>),
 }
 
-/// Runs `data` through a live-sync [`EngineStream`], capturing control
-/// updates and payloads into one interleaved event sequence.
-fn live_sync_events(config: EngineConfig, batch_chunks: usize, data: &[u8]) -> Vec<WireEvent> {
-    let mut engine = CompressionEngine::new(config).expect("valid engine config");
+/// Runs `data` through a [`PipelinedStream`] with a control sink, capturing
+/// control updates and payloads into one interleaved event sequence.
+fn stream_events(config: EngineConfig, batch_chunks: usize, data: &[u8]) -> Vec<WireEvent> {
+    let engine = CompressionEngine::new(config).expect("valid engine config");
     let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
     let sink = |pt: PacketType, bytes: &[u8]| {
         events
@@ -83,14 +84,14 @@ fn live_sync_events(config: EngineConfig, batch_chunks: usize, data: &[u8]) -> V
         events.borrow_mut().push(WireEvent::Update(update.clone()));
     };
     let mut stream =
-        EngineStream::with_control_sink(&mut engine, batch_chunks, sink, Some(control_sink));
+        PipelinedStream::with_control_sink(engine, batch_chunks, sink, Some(control_sink))
+            .expect("valid stream");
     stream.push_record(data).expect("push succeeds");
     stream.finish().expect("finish succeeds");
     events.into_inner()
 }
 
-/// Replays an interleaved event sequence the way a live-synced decoder
-/// would: updates maintain the `id → basis` table, payloads decode against
+/// Replays an interleaved event sequence the way a synced decoder would: updates maintain the `id → basis` table, payloads decode against
 /// it. Panics when a compressed payload references an identifier the
 /// preceding control traffic has not installed.
 fn replay_events(gd: &GdConfig, events: &[WireEvent]) -> Vec<u8> {
@@ -274,7 +275,7 @@ proptest! {
         prop_assert_eq!(batch.stats(), reference.stats());
     }
 
-    /// (ISSUE 3) Live sync: the interleaved control+data stream roundtrips
+    /// The interleaved control+data stream roundtrips
     /// bit-exactly for any shard/worker/spawn shape and batch size, on a
     /// configuration whose dictionary (4 identifiers, 16 possible bases)
     /// churns constantly — every `Ref` must be preceded by its install and
@@ -291,7 +292,7 @@ proptest! {
         // capacity several-fold, forcing evictions and identifier recycling.
         let gd = GdConfig::for_parameters(3, 2).unwrap();
         let config = engine_config(gd, 1usize << shard_exp, workers, spawn_of(spawn_selector));
-        let events = live_sync_events(config, batch_chunks, &data);
+        let events = stream_events(config, batch_chunks, &data);
         prop_assert_eq!(replay_events(&gd, &events), data);
     }
 
@@ -305,14 +306,14 @@ proptest! {
     ) {
         let gd = GdConfig::for_parameters(3, 2).unwrap();
         let shards = 1usize << shard_exp;
-        let reference = live_sync_events(
+        let reference = stream_events(
             engine_config(gd, shards, 1, SpawnPolicy::Inline),
             16,
             &data,
         );
         for workers in [2usize, 4] {
             for spawn in [SpawnPolicy::Threads, SpawnPolicy::Auto] {
-                let events = live_sync_events(engine_config(gd, shards, workers, spawn), 16, &data);
+                let events = stream_events(engine_config(gd, shards, workers, spawn), 16, &data);
                 prop_assert_eq!(events.len(), reference.len());
                 for (a, b) in events.iter().zip(reference.iter()) {
                     match (a, b) {

@@ -46,7 +46,6 @@ enum RefEvent {
 fn isolated_events(config: EngineConfig, batch_units: usize, data: &[u8]) -> Vec<RefEvent> {
     let engine = EngineBuilder::new()
         .config(config)
-        .live_sync(true)
         .pipelined(2)
         .build()
         .expect("valid engine config");

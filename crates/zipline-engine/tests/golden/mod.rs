@@ -1,5 +1,7 @@
 //! The golden stream table: the engine stream's output bits, pinned per
-//! batch.
+//! batch. It was generated by the synchronous stream the engine had before
+//! `PipelinedStream` became its only stream, and is checked against
+//! `PipelinedStream` inline and threaded.
 //!
 //! Every case runs one input (sensor, campus DNS, or a churn workload whose
 //! dictionary is small enough that identifiers recycle) through one backend
@@ -27,9 +29,9 @@ use std::fmt::Write as _;
 use zipline_deflate::Level;
 use zipline_engine::frame::put_update;
 use zipline_engine::{
-    AutoBackend, AutoConfig, Batch, BatchEvent, BatchSink, CodecCursor, CodecId,
-    CompressionBackend, DeflateBackend, DictionaryUpdate, EngineBuilder, EngineConfig,
-    EngineStream, HybridGdDeflateBackend, PassthroughBackend, PipelinedStream, SpawnPolicy,
+    AutoBackend, AutoConfig, Batch, BatchEvent, BatchSink, CodecId, CompressionBackend,
+    DeflateBackend, DictionaryUpdate, EngineBuilder, EngineConfig, HybridGdDeflateBackend,
+    PassthroughBackend, PipelinedStream, SpawnPolicy,
 };
 use zipline_gd::config::GdConfig;
 use zipline_gd::packet::PacketType;
@@ -54,8 +56,6 @@ pub const BACKENDS: [&str; 5] = ["gd", "deflate", "passthrough", "hybrid", "auto
 /// How a case is driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runner {
-    /// The synchronous `EngineStream`, one batch per push.
-    Sync,
     /// `PipelinedStream`, compressing on the calling thread.
     Inline,
     /// `PipelinedStream` with its engine worker thread.
@@ -128,7 +128,7 @@ impl Row {
     }
 }
 
-/// The pipelined stream's sink: one row per finished batch.
+/// The stream's sink: one row per finished batch.
 struct RowSink<'a>(&'a RefCell<Vec<Row>>);
 
 impl BatchSink for RowSink<'_> {
@@ -202,7 +202,7 @@ fn inputs() -> Vec<Input> {
 fn builder(gd: GdConfig, shards: usize, workers: usize, runner: Runner) -> EngineBuilder {
     let spawn = match runner {
         Runner::Threaded => SpawnPolicy::Threads,
-        Runner::Sync | Runner::Inline => SpawnPolicy::Inline,
+        Runner::Inline => SpawnPolicy::Inline,
     };
     EngineBuilder::new()
         .gd(gd)
@@ -217,47 +217,16 @@ fn run_backend<B: CompressionBackend + Send + 'static>(
     data: &[u8],
     runner: Runner,
 ) -> Vec<Row> {
-    let mut engine = builder.build().expect("valid engine");
+    let engine = builder.build().expect("valid engine");
     let batch_units = BATCH_BYTES / engine.backend().unit_bytes().max(1);
     let rows = RefCell::new(Vec::new());
-    if runner == Runner::Sync {
-        let row = RefCell::new(None::<Row>);
-        let cursor = CodecCursor::new();
-        let mut stream = EngineStream::with_control_sink(
-            &mut engine,
-            batch_units,
-            |pt, bytes: &[u8]| {
-                let mut row = row.borrow_mut();
-                row.get_or_insert_with(|| Row::new(cursor.get()))
-                    .payload(pt, bytes);
-            },
-            Some(|update: &DictionaryUpdate| {
-                let mut row = row.borrow_mut();
-                row.get_or_insert_with(|| Row::new(cursor.get()))
-                    .update(update);
-            }),
-        );
-        stream.set_codec_cursor(cursor.clone());
-        // The synchronous stream compresses and emits a batch inside the
-        // push that fills it, so one batch-sized push is one row.
-        for batch in data.chunks(BATCH_BYTES) {
-            stream.push_record(batch).expect("push");
-            if batch.len() == BATCH_BYTES {
-                rows.borrow_mut()
-                    .push(row.borrow_mut().take().expect("a batch per push"));
-            }
-        }
-        stream.finish().expect("finish");
-        rows.borrow_mut().extend(row.borrow_mut().take());
-    } else {
-        let mut stream =
-            PipelinedStream::with_batch_sink(engine, batch_units, RowSink(&rows)).expect("stream");
-        assert_eq!(stream.is_threaded(), runner == Runner::Threaded);
-        for record in data.chunks(RECORD_BYTES) {
-            stream.push_record(record).expect("push");
-        }
-        stream.finish().expect("finish");
+    let mut stream =
+        PipelinedStream::with_batch_sink(engine, batch_units, RowSink(&rows)).expect("stream");
+    assert_eq!(stream.is_threaded(), runner == Runner::Threaded);
+    for record in data.chunks(RECORD_BYTES) {
+        stream.push_record(record).expect("push");
     }
+    stream.finish().expect("finish");
     rows.into_inner()
 }
 

@@ -1,11 +1,11 @@
-//! Acceptance suite for pipelined ingest (ISSUE 5):
+//! Acceptance suite for the engine stream:
 //!
 //! * [`PipelinedStream`] output — payload bytes *and* interleaved control
-//!   updates — is **bit-identical** to the synchronous [`EngineStream`] for
-//!   any shard count, worker count, spawn policy, pipeline depth and batch
-//!   size, including workloads that churn the dictionary past capacity with
-//!   live sync on (the proptest at the bottom);
-//! * the 1-shard/1-worker pipelined stream reproduces
+//!   updates — matches the committed golden table (`tests/golden/`) inline
+//!   and threaded, and is the same for any shard-independent shape knob
+//!   (worker count, spawn policy, pipeline depth), including workloads that
+//!   churn the dictionary past capacity (the proptest at the bottom);
+//! * the 1-shard/1-worker stream reproduces
 //!   [`GdCompressor::compress_batch`]'s records on the wire byte for byte;
 //! * edge cases: zero records, dropping the stream mid-batch (channel
 //!   closed with data in flight), and a depth-1 bounded channel with the
@@ -17,8 +17,8 @@ use std::cell::RefCell;
 
 use proptest::prelude::*;
 use zipline_engine::{
-    CompressionEngine, DictionaryUpdate, EngineBuilder, EngineError, EngineStream, GdBackend,
-    PipelinedStream, SpawnPolicy,
+    CompressionEngine, DictionaryUpdate, EngineBuilder, EngineError, GdBackend, PipelinedStream,
+    SpawnPolicy,
 };
 use zipline_gd::codec::GdCompressor;
 use zipline_gd::config::GdConfig;
@@ -29,7 +29,7 @@ use zipline_gd::packet::{PacketType, ZipLinePayload};
 /// typed error, not the bare codec error).
 type EngineResult<T> = std::result::Result<T, EngineError>;
 
-/// One element of the live-sync wire: a dictionary update or a payload, in
+/// One element of the wire: a dictionary update or a payload, in
 /// emission order (the same shape `engine_equivalence.rs` uses).
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WireEvent {
@@ -62,39 +62,12 @@ fn engine_for(
         .expect("valid engine config")
 }
 
-/// Runs `records` through the synchronous [`EngineStream`].
-fn run_sync(
-    mut engine: CompressionEngine<GdBackend>,
-    batch_units: usize,
-    records: &[Vec<u8>],
-    live_sync: bool,
-) -> EngineResult<StreamRun> {
-    let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
-    let sink = |pt: PacketType, bytes: &[u8]| {
-        events
-            .borrow_mut()
-            .push(WireEvent::Payload(pt, bytes.to_vec()));
-    };
-    let control_sink = live_sync.then_some(|update: &DictionaryUpdate| {
-        events.borrow_mut().push(WireEvent::Update(update.clone()));
-    });
-    let mut stream = EngineStream::with_control_sink(&mut engine, batch_units, sink, control_sink);
-    for record in records {
-        stream.push_record(record)?;
-    }
-    let summary = stream.finish()?;
-    Ok(StreamRun {
-        events: events.into_inner(),
-        summary,
-    })
-}
-
 /// Runs `records` through the [`PipelinedStream`].
 fn run_pipelined(
     engine: CompressionEngine<GdBackend>,
     batch_units: usize,
     records: &[Vec<u8>],
-    live_sync: bool,
+    with_updates: bool,
 ) -> EngineResult<StreamRun> {
     let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
     let sink = |pt: PacketType, bytes: &[u8]| {
@@ -102,7 +75,7 @@ fn run_pipelined(
             .borrow_mut()
             .push(WireEvent::Payload(pt, bytes.to_vec()));
     };
-    let control_sink = live_sync.then_some(|update: &DictionaryUpdate| {
+    let control_sink = with_updates.then_some(|update: &DictionaryUpdate| {
         events.borrow_mut().push(WireEvent::Update(update.clone()));
     });
     let mut stream = PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink)?;
@@ -114,14 +87,6 @@ fn run_pipelined(
         events: events.into_inner(),
         summary,
     })
-}
-
-fn spawn_of(selector: u8) -> SpawnPolicy {
-    match selector % 3 {
-        0 => SpawnPolicy::Auto,
-        1 => SpawnPolicy::Inline,
-        _ => SpawnPolicy::Threads,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -178,14 +143,14 @@ fn drop_mid_batch_closes_the_channel_cleanly() {
 
 /// Depth 1 with the worker forced on: every dispatch beyond the first two
 /// blocks on the bounded channel until the worker catches up. The stream
-/// must make progress and produce the exact synchronous output.
+/// must make progress and produce the exact inline output.
 #[test]
 fn depth_one_backpressure_still_produces_identical_output() {
     let gd = GdConfig::paper_default();
     let data: Vec<u8> = (0..32 * 300).map(|i| (i / 96) as u8).collect();
     let records: Vec<Vec<u8>> = data.chunks(65).map(|c| c.to_vec()).collect();
 
-    let sync = run_sync(
+    let inline = run_pipelined(
         engine_for(gd, 4, 2, SpawnPolicy::Inline, 1),
         4,
         &records,
@@ -200,7 +165,7 @@ fn depth_one_backpressure_still_produces_identical_output() {
     )
     .unwrap();
     assert!(piped.summary.payloads_emitted > 10);
-    assert_eq!(piped, sync);
+    assert_eq!(piped, inline);
 }
 
 /// A backend that fails compression on a chosen batch, to exercise the
@@ -292,12 +257,6 @@ fn worker_errors_surface_to_the_caller() {
 // Bit-identity pins
 // ---------------------------------------------------------------------------
 
-/// The committed table is the synchronous `EngineStream`'s output.
-#[test]
-fn golden_table_matches_the_synchronous_stream() {
-    golden::check(golden::Runner::Sync, 2);
-}
-
 /// The pipelined stream on the calling thread reproduces the golden table.
 #[test]
 fn golden_table_matches_the_inline_pipelined_stream() {
@@ -316,14 +275,14 @@ fn golden_table_matches_the_threaded_pipelined_stream() {
 fn regenerate() {
     std::fs::write(
         golden::TABLE_PATH,
-        golden::actual_table(golden::Runner::Sync, 2),
+        golden::actual_table(golden::Runner::Inline, 2),
     )
     .expect("table is writable");
 }
 
 /// The 1-shard/1-worker pipelined stream serializes exactly the records
 /// `GdCompressor::compress_batch` would produce, payload for payload — the
-/// PR-2 invariant extended through the asynchronous ingest layer.
+/// engine's 1-shard invariant extended through the stream.
 #[test]
 fn single_shard_pipelined_wire_matches_gd_compressor() {
     let gd = GdConfig::paper_default();
@@ -379,7 +338,7 @@ fn single_shard_pipelined_wire_matches_gd_compressor() {
 
 /// Pipelined output is a pure function of `(data, shard count, batch
 /// size)`: depth, spawn policy and worker count never change a byte or an
-/// event — mirroring the synchronous stream's purity guarantee.
+/// event.
 #[test]
 fn pipelined_output_is_pure_in_shape_knobs() {
     let gd = GdConfig::for_parameters(3, 4).unwrap();
@@ -408,80 +367,45 @@ fn pipelined_output_is_pure_in_shape_knobs() {
 }
 
 // ---------------------------------------------------------------------------
-// Proptest equivalence: PipelinedStream == EngineStream
+// Proptest equivalence: threaded == inline
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// For any shard/worker/spawn/depth shape, batch size and record
-    /// segmentation — on a dictionary small enough that random bytes churn
-    /// it constantly, with live sync on — the pipelined stream emits the
-    /// same interleaved event sequence and the same summary as the
-    /// synchronous stream.
+    /// For any shard/worker/depth shape, batch size and record segmentation
+    /// — on a dictionary small enough that random bytes churn it
+    /// constantly, with or without the updates consumed — the threaded
+    /// stream emits the same interleaved event sequence and the same
+    /// summary as the inline one.
     #[test]
-    fn pipelined_equals_engine_stream_under_churn(
+    fn threaded_equals_inline_under_churn(
         data in proptest::collection::vec(any::<u8>(), 0..600),
         record_len in 1usize..64,
         shard_exp in 0u32..3,
         workers in 1usize..5,
-        spawn_selector in any::<u8>(),
         depth in 1usize..5,
         batch_units in 1usize..48,
-        live_sync in any::<bool>(),
+        with_updates in any::<bool>(),
     ) {
         // Capacity 4 with m = 3 (1-byte chunks): random data exceeds
         // capacity several-fold, forcing evictions and recycling.
         let gd = GdConfig::for_parameters(3, 2).unwrap();
         let shards = 1usize << shard_exp;
-        let spawn = spawn_of(spawn_selector);
         let records: Vec<Vec<u8>> = data.chunks(record_len).map(|c| c.to_vec()).collect();
 
-        let sync = run_sync(
-            engine_for(gd, shards, workers, spawn, depth),
+        let inline = run_pipelined(
+            engine_for(gd, shards, workers, SpawnPolicy::Inline, depth),
             batch_units,
             &records,
-            live_sync,
-        ).expect("sync stream");
-        let piped = run_pipelined(
-            engine_for(gd, shards, workers, spawn, depth),
+            with_updates,
+        ).expect("inline stream");
+        let threaded = run_pipelined(
+            engine_for(gd, shards, workers, SpawnPolicy::Threads, depth),
             batch_units,
             &records,
-            live_sync,
-        ).expect("pipelined stream");
-        prop_assert_eq!(piped, sync);
-    }
-
-    /// Same equivalence at paper parameters on redundant sensor-style data
-    /// (the non-churn regime), sweeping the pipeline depth.
-    #[test]
-    fn pipelined_equals_engine_stream_at_paper_params(
-        seed in any::<u8>(),
-        chunks in 1usize..96,
-        depth in 1usize..4,
-        batch_units in 1usize..24,
-    ) {
-        let gd = GdConfig::paper_default();
-        let mut data = Vec::with_capacity(chunks * 32);
-        for i in 0..chunks {
-            let mut chunk = [0u8; 32];
-            chunk[0] = seed.wrapping_add((i % 6) as u8);
-            chunk[17] = (i % 4) as u8;
-            data.extend_from_slice(&chunk);
-        }
-        let records = vec![data];
-        let sync = run_sync(
-            engine_for(gd, 8, 4, SpawnPolicy::Auto, depth),
-            batch_units,
-            &records,
-            true,
-        ).expect("sync stream");
-        let piped = run_pipelined(
-            engine_for(gd, 8, 4, SpawnPolicy::Threads, depth),
-            batch_units,
-            &records,
-            true,
-        ).expect("pipelined stream");
-        prop_assert_eq!(piped, sync);
+            with_updates,
+        ).expect("threaded stream");
+        prop_assert_eq!(threaded, inline);
     }
 }

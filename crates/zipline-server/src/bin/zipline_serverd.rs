@@ -12,6 +12,10 @@
 //!                 [--batch-chunks N] [--pipeline-depth N]
 //!                 [--writer-depth N] [--checkpoint-cadence N]
 //! ```
+//!
+//! `--checkpoint-cadence` is accepted and stored, but no stream consults
+//! it: each batch commits without a checkpoint and a finished flow compacts
+//! its store to one.
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -27,6 +31,8 @@ fn usage() -> ! {
          \x20                      [--batch-chunks N] [--pipeline-depth N]\n\
          \x20                      [--writer-depth N] [--checkpoint-cadence N]\n\
          ENDPOINT is tcp://host:port, unix://path or a bare host:port.\n\
+         --checkpoint-cadence is accepted but no stream consults it: batches\n\
+         commit without checkpoints and a finished flow compacts to one.\n\
          Serves until standard input closes, then shuts down gracefully."
     );
     std::process::exit(2);

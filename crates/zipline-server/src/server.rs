@@ -195,7 +195,9 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Commits between durable checkpoints.
+    /// Sets [`HostPathConfig::checkpoint_cadence`]. No stream consults it:
+    /// each batch commits without a checkpoint and a finished flow compacts
+    /// its store to one.
     pub fn checkpoint_cadence(mut self, cadence: u64) -> Self {
         self.host.checkpoint_cadence = cadence;
         self
@@ -204,12 +206,6 @@ impl ServerConfigBuilder {
     /// Durability barrier of the store's commits.
     pub fn sync(mut self, sync: SyncPolicy) -> Self {
         self.host.sync = sync;
-        self
-    }
-
-    /// Stream dictionary updates to clients as they commit.
-    pub fn live_sync(mut self, live: bool) -> Self {
-        self.host.live_sync = live;
         self
     }
 

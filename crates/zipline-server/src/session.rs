@@ -170,7 +170,6 @@ impl<B: CompressionBackend + Send + 'static> Session<B> {
     pub fn new(host: &HostPathConfig, registry: Arc<SessionRegistry>) -> ServerResult<Self> {
         let mut config = FlowRouterConfig::new(host.engine);
         config.batch_units = host.batch_chunks;
-        config.live_sync = host.live_sync;
         config.pipeline_depth = host.pipeline_depth.unwrap_or(2);
         config.durable_root = host.durable.clone();
         config.checkpoint_cadence = host.checkpoint_cadence;

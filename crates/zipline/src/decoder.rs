@@ -221,22 +221,6 @@ impl ZipLineDecodeProgram {
         }
     }
 
-    /// Installs every mapping of an engine dictionary snapshot — the
-    /// deviation-table sync a controller performs so that streams compressed
-    /// host-side by `zipline_engine::CompressionEngine` decode in-network.
-    /// Identifiers already use the engine's global layout, so the shard
-    /// count is transparent here.
-    pub fn install_snapshot(
-        &mut self,
-        snapshot: &zipline_engine::DictionarySnapshot,
-        now: SimTime,
-    ) -> Result<()> {
-        for (id, basis) in &snapshot.entries {
-            self.install_mapping(*id, basis.to_bytes(), now)?;
-        }
-        Ok(())
-    }
-
     /// Rebuilds the original chunk from a basis and deviation using the
     /// data-plane primitives (CRC extern + constant mask table).
     ///

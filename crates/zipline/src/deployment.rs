@@ -150,10 +150,6 @@ pub struct ZipLineDeployment {
     config: DeploymentConfig,
     /// Bases to pre-install before the run (static-table scenario).
     static_chunks: Vec<Vec<u8>>,
-    /// Engine dictionary snapshot to sync into the decoder before the run
-    /// (the engine-backed host path: end hosts compress with
-    /// `zipline_engine::CompressionEngine`, the decoder switch restores).
-    decoder_snapshot: Option<zipline_engine::DictionarySnapshot>,
 }
 
 impl ZipLineDeployment {
@@ -164,7 +160,6 @@ impl ZipLineDeployment {
         Ok(Self {
             config,
             static_chunks: Vec::new(),
-            decoder_snapshot: None,
         })
     }
 
@@ -172,19 +167,6 @@ impl ZipLineDeployment {
     /// the next run (the "static table" scenario of Figure 3).
     pub fn preload_static_table(&mut self, chunks: Vec<Vec<u8>>) {
         self.static_chunks = chunks;
-    }
-
-    /// Syncs an engine dictionary snapshot into the decoder switch before
-    /// the next run — the *cold-start* half of the engine host path
-    /// (`crate::host`). Streams whose dictionary may churn past capacity
-    /// must instead (or additionally) carry live in-band control frames:
-    /// the encoder switch forwards `ETHERTYPE_ZIPLINE_CONTROL` frames
-    /// unmodified along the data path, the decoder switch consumes them in
-    /// arrival order (installing/removing mappings before the data frames
-    /// that depend on them) and returns its acknowledgements over the
-    /// out-of-band control link.
-    pub fn preload_decoder_snapshot(&mut self, snapshot: zipline_engine::DictionarySnapshot) {
-        self.decoder_snapshot = Some(snapshot);
     }
 
     /// The deployment configuration.
@@ -210,7 +192,12 @@ impl ZipLineDeployment {
     }
 
     /// Replays the given frames through the deployment and collects the
-    /// outcome.
+    /// outcome. Frames compressed host-side (`crate::host`) carry their
+    /// decoder sync in-band: the encoder switch forwards
+    /// `ETHERTYPE_ZIPLINE_CONTROL` frames unmodified along the data path,
+    /// the decoder switch consumes them in arrival order (installing and
+    /// removing mappings before the data frames that depend on them) and
+    /// returns its acknowledgements over the out-of-band control link.
     pub fn run_frames(&mut self, frames: Vec<EthernetFrame>) -> Result<RunOutcome> {
         let cfg = &self.config;
         let frame_count = frames.len() as u64;
@@ -260,12 +247,6 @@ impl ZipLineDeployment {
             for (id, basis_bytes) in installed {
                 decoder_program.install_mapping(id, basis_bytes, SimTime::ZERO)?;
             }
-        }
-
-        // Engine-backed host path: sync the engine's dictionary into the
-        // decoder so pre-compressed (type 3) frames resolve their ids.
-        if let Some(snapshot) = &self.decoder_snapshot {
-            decoder_program.install_snapshot(snapshot, SimTime::ZERO)?;
         }
 
         let switch_config = SwitchConfig {

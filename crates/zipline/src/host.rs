@@ -31,74 +31,50 @@
 //! the control traffic that makes it decodable. This is the paper's
 //! two-phase install guarantee (section 5) in streaming form, and it holds
 //! even when the dictionary churns past capacity and recycles identifiers —
-//! the regime where the older one-shot [`DictionarySnapshot`] sync silently
-//! aliased earlier frames to later bases (see the regression tests below).
+//! the regime where a one-shot post-hoc snapshot of the dictionary would
+//! alias earlier frames to later bases.
 //!
-//! The snapshot path ([`EngineHostPath::snapshot`] /
-//! [`ZipLineDecodeProgram::install_snapshot`] /
-//! [`ZipLineDeployment::preload_decoder_snapshot`]) remains available for
-//! *cold-starting* a decoder mid-stream and for workloads provably below
-//! capacity; [`HostPathConfig::live_sync`] turns the live protocol off for
-//! those cases.
+//! # Ingest
 //!
-//! # Synchronous vs pipelined ingest
-//!
-//! The path offers two push disciplines over the same engine:
-//!
-//! * **Synchronous** ([`EngineHostPath::compress_to_frames`] /
-//!   [`EngineHostPath::compress_workload_to_frames`]): every batch
-//!   compresses on the calling thread. Zero setup cost, no extra thread,
-//!   and the right default for request/response-shaped callers,
-//!   single-core hosts, and whenever the producer is the bottleneck anyway.
-//! * **Pipelined** ([`EngineHostPath::compress_to_frames_pipelined`] /
-//!   [`EngineHostPath::compress_workload_to_frames_pipelined`], available
-//!   once [`HostPathConfig::pipeline_depth`] is set): record accumulation
-//!   overlaps with batch compression through [`PipelinedStream`] — a bounded,
-//!   backpressured channel feeding a dedicated engine worker thread, with
-//!   double-buffered, recycled batch buffers. Choose it when ingest is
-//!   continuous (a NIC queue, a trace replay) and the host has cores to
-//!   spare; the emitted frame sequence is **bit-identical** to the
-//!   synchronous path, so the choice is purely a latency/throughput one.
-//!   On a single-core host under [`SpawnPolicy`](zipline_engine::SpawnPolicy)
-//!   `::Auto` the pipelined path degrades to inline execution — same
-//!   bytes, no thread — so it is always safe to enable.
+//! Every push runs through one [`PipelinedStream`]: the path hands it the
+//! engine for the call and takes it back when the stream finishes. With
+//! [`HostPathConfig::pipeline_depth`] set (and a spawn policy that allows
+//! it) record accumulation overlaps with batch compression on a dedicated
+//! engine worker behind a bounded, backpressured channel; without it every
+//! batch compresses on the calling thread. The emitted frame sequence is
+//! the same bits either way, so the choice is purely a latency/throughput
+//! one.
 //!
 //! # Durability and warm restarts
 //!
 //! By default the engine's dictionary lives only in memory: a host crash
 //! loses it, and the only way back in sync with a decoder that kept its
-//! state is a full cold start (fresh dictionary on both sides, or a
-//! snapshot preload — which under churn aliases recycled identifiers, see
-//! above). Setting [`HostPathConfig::durable`] to a directory makes the
-//! engine crash-safe instead: every committed batch appends its dictionary
-//! delta to an event log (with periodic full-state checkpoints) and its
-//! wire frames to a journaled frame log, both sealed by a batch-boundary
-//! commit marker, and sinks only ever observe **committed** batches.
-//! Rebuilding the path over the same directory is then a *warm restart*:
+//! state is a full cold start (fresh dictionary on both sides). Setting
+//! [`HostPathConfig::durable`] to a directory makes the engine crash-safe
+//! instead: every committed batch appends its dictionary delta to an event
+//! log and its wire frames to a journaled frame log, both sealed by a
+//! batch-boundary commit marker, and sinks only ever observe **committed**
+//! batches; a finished push compacts the log to one checkpoint. Rebuilding
+//! the path over the same directory is then a *warm restart*:
 //!
-//! * the dictionary rehydrates to exactly the last committed batch
-//!   boundary (torn, truncated or bit-flipped log tails are detected by
-//!   per-record CRCs and cut at the last valid commit — or rejected
-//!   loudly when committed records are missing);
+//! * the dictionary rehydrates to the last committed batch boundary (torn,
+//!   truncated or bit-flipped log tails are detected by per-record CRCs and
+//!   cut at the last valid commit — or rejected loudly when committed
+//!   records are missing);
 //! * [`EngineHostPath::warm_start`] reports the recovered boundary
 //!   (`batches`, `bytes_in`, `frames`) plus the committed frames, so the
 //!   caller knows where to resume feeding input and what a transport that
 //!   lost the crash-window tail may need re-sent;
 //! * [`EngineHostPath::take_restart_sync_frames`] carries in-band
-//!   re-installs for every live mapping under fresh nonces — the decision
-//!   note: a **surviving decoder** needs them so its nonce table matches
-//!   the restarted control plane (otherwise later evictions are discarded
-//!   as stale and recycled identifiers alias), and a **restarted decoder**
-//!   is cold-started by the very same frames, so the caller never touches
-//!   the snapshot path.
+//!   re-installs for every live mapping under fresh nonces: a **surviving
+//!   decoder** needs them so its nonce table matches the restarted control
+//!   plane (otherwise later evictions are discarded as stale and recycled
+//!   identifiers alias), and a **restarted decoder** is cold-started by the
+//!   very same frames.
 //!
-//! Durability is process-crash-grade (writes reach the OS in commit
-//! order); checkpoint cadence is [`HostPathConfig::checkpoint_cadence`].
+//! Durability is process-crash-grade (writes reach the OS in commit order).
 //!
 //! [`CompressionEngine`]: zipline_engine::CompressionEngine
-//! [`DictionarySnapshot`]: zipline_engine::DictionarySnapshot
-//! [`ZipLineDecodeProgram::install_snapshot`]: crate::decoder::ZipLineDecodeProgram::install_snapshot
-//! [`ZipLineDeployment::preload_decoder_snapshot`]: crate::deployment::ZipLineDeployment::preload_decoder_snapshot
 
 use std::cell::RefCell;
 use std::path::PathBuf;
@@ -106,9 +82,9 @@ use std::path::PathBuf;
 use crate::engine_control::{EngineControlPlane, EngineControlStats};
 use crate::error::Result;
 use zipline_engine::{
-    CompressionBackend, CompressionEngine, DictionarySnapshot, DictionaryUpdate, EngineBuilder,
-    EngineConfig, EngineDecompressor, EngineStream, GdBackend, PayloadSinks, PipelinedStream,
-    StreamSummary, SyncPolicy, WarmStart,
+    CompressionBackend, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineConfig,
+    EngineDecompressor, GdBackend, PayloadSinks, PipelinedStream, StreamSummary, SyncPolicy,
+    WarmStart,
 };
 use zipline_gd::packet::PacketType;
 use zipline_net::ethernet::EthernetFrame;
@@ -118,7 +94,7 @@ use zipline_traces::ChunkWorkload;
 /// Boxed payload sink used by the shared stream harness.
 type FrameSink<'a> = Box<dyn FnMut(PacketType, &[u8]) + 'a>;
 
-/// Boxed control sink used by the shared stream harness (live sync).
+/// Boxed control sink used by the shared stream harness.
 type ControlSink<'a> = Box<dyn FnMut(&DictionaryUpdate) + 'a>;
 
 /// Configuration of an [`EngineHostPath`].
@@ -135,16 +111,11 @@ pub struct HostPathConfig {
     /// EtherType for raw (type 1) frames; processed frames carry the
     /// ZipLine EtherTypes.
     pub raw_ethertype: u16,
-    /// Stream incremental install/remove control frames in-band with the
-    /// data (the default). When false, the caller must sync the decoder via
-    /// [`EngineHostPath::snapshot`] — only sound while the dictionary never
-    /// exceeds capacity.
-    pub live_sync: bool,
     /// Opt-in pipelined ingest: when `Some(depth)`, the engine is built
-    /// with [`EngineBuilder::pipelined`] and the `*_pipelined` push methods
-    /// become available (depth = batches in flight before `push` blocks;
-    /// see the module docs for the decision note). `None` keeps the path
-    /// synchronous-only.
+    /// with [`EngineBuilder::pipelined`] and pushes may compress on an
+    /// engine worker thread (depth = batches in flight before `push`
+    /// blocks; see the module docs). `None` compresses on the calling
+    /// thread.
     pub pipeline_depth: Option<usize>,
     /// Opt-in durability: when `Some(dir)`, the engine opens (or creates)
     /// a crash-safe store there — an append-only dictionary event log with
@@ -152,14 +123,13 @@ pub struct HostPathConfig {
     /// commit markers ([`EngineBuilder::durable`]). Rebuilding the path
     /// over the same directory is a **warm restart**: the dictionary
     /// rehydrates from disk and the control plane re-announces the live
-    /// mappings in-band, so no cold-start snapshot resync is needed (see
-    /// the module docs' durability note). `None` keeps the engine
-    /// in-memory only.
+    /// mappings in-band (see the module docs' durability note). `None`
+    /// keeps the engine in-memory only.
     pub durable: Option<PathBuf>,
-    /// Full-state checkpoint cadence of the durable store, in committed
-    /// batches (1 = checkpoint every batch, the exact-restore default;
-    /// larger values trade checkpoint volume for a delta-fold on
-    /// recovery). Ignored without [`Self::durable`].
+    /// [`StoreOptions::checkpoint_cadence`](zipline_engine::StoreOptions::checkpoint_cadence)
+    /// of the durable store. No push consults it: the stream commits each
+    /// batch without a checkpoint and compacts to one when the push
+    /// finishes. Ignored without [`Self::durable`].
     pub checkpoint_cadence: u64,
     /// Durability barrier of the store's commits ([`SyncPolicy::Flush`]
     /// survives process crash, [`SyncPolicy::Data`] adds `fdatasync` and
@@ -168,8 +138,8 @@ pub struct HostPathConfig {
 }
 
 impl HostPathConfig {
-    /// Paper GD parameters, 8 shards, 4 workers, 256-chunk batches, live
-    /// decoder sync, synchronous ingest.
+    /// Paper GD parameters, 8 shards, 4 workers, 256-chunk batches, ingest
+    /// on the calling thread.
     pub fn paper_default() -> Self {
         Self {
             engine: EngineConfig::paper_default(),
@@ -177,7 +147,6 @@ impl HostPathConfig {
             src: MacAddress::local(2),
             dst: MacAddress::local(1),
             raw_ethertype: zipline_net::ethernet::ETHERTYPE_IPV4,
-            live_sync: true,
             pipeline_depth: None,
             durable: None,
             checkpoint_cadence: 1,
@@ -226,9 +195,8 @@ impl HostPathConfig {
 /// decoder live-synced). Generic over the engine's
 /// [`CompressionBackend`]; see the module docs.
 pub struct EngineHostPath<B: CompressionBackend = GdBackend> {
-    /// `None` only transiently, while a pipelined stream owns the engine
-    /// (and permanently if such a stream fails — see
-    /// [`Self::pipelined_via`]).
+    /// `None` only transiently, while a stream owns the engine (and
+    /// permanently if such a stream fails — see [`Self::compress_via`]).
     engine: Option<CompressionEngine<B>>,
     control: EngineControlPlane,
     config: HostPathConfig,
@@ -247,29 +215,27 @@ impl EngineHostPath<GdBackend> {
     /// restart**: the dictionary rehydrates from disk,
     /// [`Self::warm_start`] reports the recovered batch boundary, and
     /// [`Self::take_restart_sync_frames`] carries the in-band
-    /// re-announcement that replaces a cold-start snapshot resync.
+    /// re-announcement of every recovered mapping.
     pub fn new(config: HostPathConfig) -> Result<Self> {
         let mut engine = config.engine_builder().build()?;
         let mut control = EngineControlPlane::new();
         let warm = engine.take_warm_start();
         let mut restart_sync = Vec::new();
         if let Some(warm) = &warm {
-            if config.live_sync {
-                // Re-announce every live mapping with fresh nonces: heals a
-                // decoder that missed the crash-window tail and re-syncs
-                // the nonce table a surviving decoder echoes into removes.
-                let live = engine
-                    .snapshot()
-                    .entries
-                    .into_iter()
-                    .map(|(id, basis)| (id, basis.to_bytes()));
-                let floor = warm.dictionary.delta_seq.min(u32::MAX as u64) as u32;
-                restart_sync = control
-                    .reseed(live, floor)
-                    .into_iter()
-                    .map(|message| message.to_frame(config.src, config.dst))
-                    .collect();
-            }
+            // Re-announce every live mapping with fresh nonces: heals a
+            // decoder that missed the crash-window tail and re-syncs the
+            // nonce table a surviving decoder echoes into removes.
+            let live = engine
+                .snapshot()
+                .entries
+                .into_iter()
+                .map(|(id, basis)| (id, basis.to_bytes()));
+            let floor = warm.dictionary.delta_seq.min(u32::MAX as u64) as u32;
+            restart_sync = control
+                .reseed(live, floor)
+                .into_iter()
+                .map(|message| message.to_frame(config.src, config.dst))
+                .collect();
         }
         Ok(Self {
             engine: Some(engine),
@@ -279,17 +245,9 @@ impl EngineHostPath<GdBackend> {
             restart_sync,
         })
     }
-
-    /// Merged dictionary snapshot, for *cold* decoder sync. With
-    /// [`HostPathConfig::live_sync`] enabled the emitted frame stream is
-    /// self-sufficient; under churn a post-hoc snapshot alone aliases
-    /// recycled identifiers.
-    pub fn snapshot(&self) -> DictionarySnapshot {
-        self.engine().snapshot()
-    }
 }
 
-impl<B: CompressionBackend> EngineHostPath<B> {
+impl<B: CompressionBackend + Send + 'static> EngineHostPath<B> {
     /// Builds a host path over an explicit backend instance — e.g.
     /// `EngineHostPath::with_backend(config, DeflateBackend::default())`
     /// for the gzip-backed path. The engine configuration is validated once;
@@ -321,12 +279,11 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     }
 
     /// Takes the in-band re-announcement frames of a warm restart (empty
-    /// on a cold start, without live sync, or once taken). Put these on
+    /// on a cold start, for a delta-less backend, or once taken). Put these on
     /// the wire **before** any newly compressed frames: they re-install
     /// every recovered mapping under fresh nonces, so a decoder that kept
     /// its state keeps retiring future evictions correctly and a decoder
-    /// that missed the crash-window control tail is healed — the
-    /// warm-restart replacement for a cold-start snapshot preload.
+    /// that missed the crash-window control tail is healed.
     pub fn take_restart_sync_frames(&mut self) -> Vec<EthernetFrame> {
         std::mem::take(&mut self.restart_sync)
     }
@@ -335,7 +292,7 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     pub fn engine(&self) -> &CompressionEngine<B> {
         self.engine
             .as_ref()
-            .expect("engine lost to a failed pipelined stream")
+            .expect("engine lost to a failed stream")
     }
 
     /// The mirrored decompressor for the frames this path emits (feed it
@@ -344,7 +301,7 @@ impl<B: CompressionBackend> EngineHostPath<B> {
         Ok(self.engine().decompressor()?)
     }
 
-    /// Control-plane counters of the live sync protocol.
+    /// Control-plane counters of the decoder sync protocol.
     pub fn control_stats(&self) -> EngineControlStats {
         self.control.stats()
     }
@@ -356,8 +313,8 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     }
 
     /// Compresses a buffer into wire-ready Ethernet frames (one frame per
-    /// stream record, plus interleaved control frames under live sync) and
-    /// the stream totals.
+    /// stream record, plus interleaved control frames) and the stream
+    /// totals.
     pub fn compress_to_frames(
         &mut self,
         data: &[u8],
@@ -366,7 +323,9 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     }
 
     /// Compresses every chunk of a workload generator into frames, feeding
-    /// the engine through the streaming API.
+    /// the engine through the streaming API (on a path with
+    /// [`HostPathConfig::pipeline_depth`], the workload iterator runs on
+    /// the calling thread while batches compress on the engine worker).
     pub fn compress_workload_to_frames(
         &mut self,
         workload: &dyn ChunkWorkload,
@@ -374,14 +333,27 @@ impl<B: CompressionBackend> EngineHostPath<B> {
         self.compress_via(|stream| stream.consume_workload(workload))
     }
 
-    /// Shared frame-building stream harness: sets up the engine stream with
-    /// a sink that wraps every payload in an Ethernet frame (and, under live
-    /// sync, a control sink that interleaves install/remove frames at their
-    /// journal positions), runs `feed`, and collects the summary.
+    /// Alias of [`Self::compress_workload_to_frames`], kept for callers
+    /// written when the path had a separate pipelined discipline (the
+    /// `benchmark/` harness's `host.frames` rung).
+    pub fn compress_workload_to_frames_pipelined(
+        &mut self,
+        workload: &dyn ChunkWorkload,
+    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
+        self.compress_workload_to_frames(workload)
+    }
+
+    /// Shared frame-building stream harness: moves the engine into a
+    /// [`PipelinedStream`] whose payload sink wraps every payload in an
+    /// Ethernet frame and whose control sink interleaves install/remove
+    /// frames at their journal positions, runs `feed`, and takes the engine
+    /// back when the stream finishes. If the stream fails *mid-stream*, the
+    /// engine is lost with it — acceptable because such a failure leaves
+    /// the compressor/decoder pair out of sync anyway.
     fn compress_via(
         &mut self,
         feed: impl FnOnce(
-            &mut EngineStream<'_, FrameSink<'_>, ControlSink<'_>, B>,
+            &mut PipelinedStream<PayloadSinks<FrameSink<'_>, ControlSink<'_>>, B>,
         ) -> std::result::Result<(), zipline_engine::EngineError>,
     ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
         // Both sinks push into one ordered frame sequence; the RefCell lets
@@ -395,102 +367,21 @@ impl<B: CompressionBackend> EngineHostPath<B> {
             config,
             ..
         } = self;
-        let engine = engine
-            .as_mut()
-            .expect("engine lost to a failed pipelined stream");
+        let owned_engine = engine.take().expect("engine lost to a failed stream");
         let sink: FrameSink<'_> = Box::new(|pt, bytes| {
             let ethertype = pt.ethertype().unwrap_or(raw_ethertype);
             frames
                 .borrow_mut()
                 .push(EthernetFrame::new(dst, src, ethertype, bytes.to_vec()));
         });
-        let control_sink: Option<ControlSink<'_>> = config.live_sync.then(|| {
-            Box::new(|update: &DictionaryUpdate| {
-                control.push_frames_for(update, src, dst, &mut frames.borrow_mut());
-            }) as ControlSink<'_>
-        });
-        let mut stream =
-            EngineStream::with_control_sink(engine, config.batch_chunks, sink, control_sink);
-        feed(&mut stream)?;
-        let summary = stream.finish()?;
-        Ok((frames.into_inner(), summary))
-    }
-}
-
-impl<B: CompressionBackend + Send + 'static> EngineHostPath<B> {
-    /// [`Self::compress_to_frames`] over the pipelined ingest path: record
-    /// accumulation overlaps with compression on a dedicated engine worker
-    /// (see the module docs' decision note). Emits the **bit-identical**
-    /// frame sequence. Requires [`HostPathConfig::pipeline_depth`].
-    pub fn compress_to_frames_pipelined(
-        &mut self,
-        data: &[u8],
-    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
-        self.pipelined_via(|stream| stream.push_record(data))
-    }
-
-    /// [`Self::compress_workload_to_frames`] over the pipelined ingest
-    /// path; the workload iterator runs on the calling thread while batches
-    /// compress on the engine worker — the producer-consumer overlap the
-    /// pipeline exists for.
-    pub fn compress_workload_to_frames_pipelined(
-        &mut self,
-        workload: &dyn ChunkWorkload,
-    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
-        self.pipelined_via(|stream| stream.consume_workload(workload))
-    }
-
-    /// Pipelined sibling of [`Self::compress_via`]: identical sinks and
-    /// frame assembly, but the engine moves into a
-    /// [`PipelinedStream`](zipline_engine::PipelinedStream) for the call
-    /// (both sinks still run on the calling thread) and is restored when
-    /// the stream finishes. If the stream fails *mid-stream*, the engine is
-    /// lost with it — acceptable because such a failure leaves the
-    /// compressor/decoder pair out of sync anyway. A configuration error
-    /// (the path was built without [`HostPathConfig::pipeline_depth`]) is
-    /// caught *before* the engine moves, so it never costs the engine.
-    fn pipelined_via(
-        &mut self,
-        feed: impl FnOnce(
-            &mut PipelinedStream<PayloadSinks<FrameSink<'_>, ControlSink<'_>>, B>,
-        ) -> std::result::Result<(), zipline_engine::EngineError>,
-    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
-        if self.config.pipeline_depth.is_none() {
-            return Err(zipline_gd::error::GdError::InvalidConfig(
-                "host path was not configured for pipelined ingest; \
-                 set HostPathConfig::pipeline_depth"
-                    .into(),
-            )
-            .into());
-        }
-        let frames: RefCell<Vec<EthernetFrame>> = RefCell::new(Vec::new());
-        let (src, dst, raw_ethertype) =
-            (self.config.src, self.config.dst, self.config.raw_ethertype);
-        let Self {
-            engine,
-            control,
-            config,
-            ..
-        } = self;
-        let owned_engine = engine
-            .take()
-            .expect("engine lost to a failed pipelined stream");
-        let sink: FrameSink<'_> = Box::new(|pt, bytes| {
-            let ethertype = pt.ethertype().unwrap_or(raw_ethertype);
-            frames
-                .borrow_mut()
-                .push(EthernetFrame::new(dst, src, ethertype, bytes.to_vec()));
-        });
-        let control_sink: Option<ControlSink<'_>> = config.live_sync.then(|| {
-            Box::new(|update: &DictionaryUpdate| {
-                control.push_frames_for(update, src, dst, &mut frames.borrow_mut());
-            }) as ControlSink<'_>
+        let control_sink: ControlSink<'_> = Box::new(|update: &DictionaryUpdate| {
+            control.push_frames_for(update, src, dst, &mut frames.borrow_mut());
         });
         let mut stream = PipelinedStream::with_control_sink(
             owned_engine,
             config.batch_chunks,
             sink,
-            control_sink,
+            Some(control_sink),
         )?;
         feed(&mut stream)?;
         let (restored_engine, summary) = stream.finish()?;
@@ -580,29 +471,11 @@ mod tests {
         assert_eq!(received, data, "in-network restoration is lossless");
     }
 
-    #[test]
-    fn snapshot_only_sync_still_works_below_capacity() {
-        let config = HostPathConfig {
-            live_sync: false,
-            ..HostPathConfig::paper_default()
-        };
-        let mut host = EngineHostPath::new(config).unwrap();
-        let data = sensor_style_data(80);
-        let (frames, summary) = host.compress_to_frames(&data).unwrap();
-        assert_eq!(summary.control_updates, 0);
-        assert_eq!(summary.payloads_emitted as usize, frames.len());
-
-        let mut deployment = ZipLineDeployment::new(DeploymentConfig::fast_test()).unwrap();
-        deployment.preload_decoder_snapshot(host.snapshot());
-        let outcome = deployment.run_frames(frames).unwrap();
-        assert_eq!(outcome.received_payloads.concat(), data);
-    }
-
     // ---- dictionary-churn regression (the PR-3 aliasing bug) -------------
 
     /// Small identifier space so churn is cheap to provoke: 64 identifiers,
     /// 32-byte chunks (m = 8).
-    fn churny_config(live_sync: bool) -> HostPathConfig {
+    fn churny_config() -> HostPathConfig {
         HostPathConfig {
             engine: EngineConfig {
                 gd: GdConfig::for_parameters(8, 6).unwrap(),
@@ -614,7 +487,6 @@ mod tests {
             src: MacAddress::local(2),
             dst: MacAddress::local(1),
             raw_ethertype: zipline_net::ethernet::ETHERTYPE_IPV4,
-            live_sync,
             pipeline_depth: None,
             durable: None,
             checkpoint_cadence: 1,
@@ -641,41 +513,13 @@ mod tests {
         .unwrap()
     }
 
-    /// Pins the bug this PR fixes: once the dictionary recycles identifiers,
-    /// a post-hoc snapshot maps recycled ids to their *latest* bases, so
-    /// `Ref` frames emitted before an eviction silently alias to the wrong
-    /// basis and the stream misrestores.
-    #[test]
-    fn snapshot_only_sync_aliases_recycled_identifiers_under_churn() {
-        let config = churny_config(false);
-        let mut host = EngineHostPath::new(config.clone()).unwrap();
-        // 4x more distinct bases than identifiers.
-        let data = churn_workload(&config).bytes();
-        let (frames, _) = host.compress_to_frames(&data).unwrap();
-        assert!(
-            host.engine().stats().evictions > 0,
-            "the workload must churn the dictionary"
-        );
-
-        let mut decoder = churny_decoder(&config);
-        decoder
-            .install_snapshot(&host.snapshot(), SimTime::ZERO)
-            .unwrap();
-        let restored = decode_frames(&mut decoder, frames);
-        assert_ne!(
-            restored, data,
-            "snapshot-only sync must misrestore under churn — if this now \
-             roundtrips, the regression pin has lost its bite"
-        );
-    }
-
-    /// The fix: with live incremental sync the same churn-heavy stream
-    /// roundtrips losslessly — every `Ref` is preceded on the wire by the
+    /// With live incremental sync a churn-heavy stream — one whose post-hoc
+    /// snapshot would alias recycled identifiers — roundtrips losslessly — every `Ref` is preceded on the wire by the
     /// install that makes it decodable, and recycled identifiers are retired
     /// before re-installation.
     #[test]
     fn live_sync_roundtrips_churn_losslessly() {
-        let config = churny_config(true);
+        let config = churny_config();
         let capacity = config.engine.gd.dictionary_capacity() as u64;
         let mut host = EngineHostPath::new(config.clone()).unwrap();
         let workload = churn_workload(&config);
@@ -707,7 +551,7 @@ mod tests {
     /// out-of-band channel).
     #[test]
     fn live_sync_churn_roundtrips_through_full_deployment() {
-        let config = churny_config(true);
+        let config = churny_config();
         let mut host = EngineHostPath::new(config.clone()).unwrap();
         let data = churn_workload(&config).bytes();
         let (frames, _) = host.compress_to_frames(&data).unwrap();
@@ -724,12 +568,13 @@ mod tests {
 
     // ---- pipelined ingest through the host path (ISSUE 5) ----------------
 
-    /// The pipelined push path emits the bit-identical frame sequence —
-    /// payload frames *and* interleaved control frames — on the churn-heavy
-    /// live-sync workload, for every spawn policy and several depths.
+    /// A path with a pipeline depth emits the bit-identical frame sequence
+    /// of one without — payload frames *and* interleaved control frames —
+    /// on the churn-heavy workload, for every spawn policy and several
+    /// depths.
     #[test]
     fn pipelined_frames_are_bit_identical_to_synchronous() {
-        let sync_config = churny_config(true);
+        let sync_config = churny_config();
         let mut sync_host = EngineHostPath::new(sync_config.clone()).unwrap();
         let workload = churn_workload(&sync_config);
         let (sync_frames, sync_summary) = sync_host.compress_workload_to_frames(&workload).unwrap();
@@ -746,9 +591,7 @@ mod tests {
                     ..sync_config.clone()
                 };
                 let mut host = EngineHostPath::new(config).unwrap();
-                let (frames, summary) = host
-                    .compress_workload_to_frames_pipelined(&workload)
-                    .unwrap();
+                let (frames, summary) = host.compress_workload_to_frames(&workload).unwrap();
                 assert_eq!(
                     frames, sync_frames,
                     "spawn = {spawn:?}, depth = {depth}: frame sequences diverge"
@@ -765,11 +608,11 @@ mod tests {
     fn pipelined_churn_roundtrips_through_full_deployment() {
         let config = HostPathConfig {
             pipeline_depth: Some(2),
-            ..churny_config(true)
+            ..churny_config()
         };
         let mut host = EngineHostPath::new(config.clone()).unwrap();
         let data = churn_workload(&config).bytes();
-        let (frames, _) = host.compress_to_frames_pipelined(&data).unwrap();
+        let (frames, _) = host.compress_to_frames(&data).unwrap();
         assert!(host.engine().stats().evictions > 0, "workload churns");
 
         let mut deployment = ZipLineDeployment::new(DeploymentConfig {
@@ -797,7 +640,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let config = HostPathConfig {
             durable: Some(dir.clone()),
-            ..churny_config(true)
+            ..churny_config()
         };
         let workload = zipline_traces::CrashWorkload::exceeding_capacity(
             config.engine.gd.dictionary_capacity(),
@@ -849,45 +692,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The host path survives alternating pipelined and synchronous pushes:
+    /// The host path survives successive pushes through both front-ends:
     /// the engine (dictionary state included) is handed back after every
-    /// pipelined stream, so the combined frame sequence still decodes.
+    /// stream, so the combined frame sequence still decodes.
     #[test]
     fn pipelined_and_synchronous_pushes_interleave_on_one_engine() {
         let config = HostPathConfig {
             pipeline_depth: Some(1),
+            engine: EngineConfig {
+                spawn: SpawnPolicy::Threads,
+                ..HostPathConfig::paper_default().engine
+            },
             ..HostPathConfig::paper_default()
         };
         let mut host = EngineHostPath::new(config).unwrap();
         let mut decoder = ZipLineDecodeProgram::new(DecoderConfig::paper_default()).unwrap();
         let mut all_data = Vec::new();
         let mut restored = Vec::new();
-        for round in 0..4u8 {
-            let data = sensor_style_data(40 + round as u32);
-            let (frames, _) = if round % 2 == 0 {
-                host.compress_to_frames_pipelined(&data).unwrap()
+        for round in 0..4u32 {
+            let (data, (frames, _)) = if round % 2 == 0 {
+                let workload = ChurnWorkload::new(ChurnWorkloadConfig {
+                    distinct: 5 + round,
+                    repeats: 8,
+                    chunk_len: 32,
+                });
+                (
+                    workload.bytes(),
+                    host.compress_workload_to_frames(&workload).unwrap(),
+                )
             } else {
-                host.compress_to_frames(&data).unwrap()
+                let data = sensor_style_data(40 + round);
+                let out = host.compress_to_frames(&data).unwrap();
+                (data, out)
             };
             restored.extend_from_slice(&decode_frames(&mut decoder, frames));
             all_data.extend_from_slice(&data);
         }
         assert_eq!(restored, all_data);
         assert_eq!(decoder.stats().decode_failures, 0);
-    }
-
-    /// Calling a `*_pipelined` method on a host built without
-    /// `pipeline_depth` errors cleanly — and must NOT poison the engine:
-    /// the synchronous path keeps working afterwards.
-    #[test]
-    fn unpipelined_host_rejects_pipelined_push_without_losing_the_engine() {
-        let mut host = EngineHostPath::new(HostPathConfig::paper_default()).unwrap();
-        let data = sensor_style_data(20);
-        assert!(host.compress_to_frames_pipelined(&data).is_err());
-        // The engine survived: the synchronous path still compresses.
-        let (frames, summary) = host.compress_to_frames(&data).unwrap();
-        assert!(!frames.is_empty());
-        assert_eq!(summary.bytes_in, data.len() as u64);
     }
 
     // ---- non-GD backends through the same host path (ISSUE 4) ------------
@@ -909,7 +751,7 @@ mod tests {
     /// Runs a backend-emitted frame sequence through the full simulated
     /// deployment and restores the received payloads with the mirrored
     /// backend decompressor.
-    fn roundtrip_through_deployment<B: CompressionBackend>(
+    fn roundtrip_through_deployment<B: CompressionBackend + Send + 'static>(
         host: &mut EngineHostPath<B>,
         frames: Vec<EthernetFrame>,
     ) -> Vec<u8> {
@@ -974,9 +816,7 @@ mod tests {
         };
         let mut host = EngineHostPath::with_backend(config, DeflateBackend::default()).unwrap();
         let workload = SensorWorkload::new(SensorWorkloadConfig::small());
-        let (frames, summary) = host
-            .compress_workload_to_frames_pipelined(&workload)
-            .unwrap();
+        let (frames, summary) = host.compress_workload_to_frames(&workload).unwrap();
         let data: Vec<u8> = workload.chunks().flatten().collect();
         assert_eq!(summary.bytes_in, data.len() as u64);
         assert!(summary.wire_bytes < data.len() as u64, "gzip compresses");

@@ -1,6 +1,6 @@
 //! Property tests for the backend-generic [`EngineHostPath`] (ISSUE 4):
 //! `DeflateBackend` roundtrips arbitrary record batches bit-exactly through
-//! the full host path — records → `EngineStream` batching → gzip members →
+//! the full host path — records → `PipelinedStream` batching → gzip members →
 //! Ethernet frames → decoder-switch forwarding → mirrored decompressor —
 //! for **any** shard/worker/spawn shape, and the emitted frame bytes are a
 //! pure function of `(data, batch size)`.
@@ -66,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Arbitrary record batches roundtrip bit-exactly through
-    /// `EngineStream` + `EngineHostPath` for any shard/worker/spawn shape,
+    /// `PipelinedStream` + `EngineHostPath` for any shard/worker/spawn shape,
     /// with the frames forwarded by the decoder switch program on the way.
     #[test]
     fn deflate_host_path_roundtrips_for_any_shape(

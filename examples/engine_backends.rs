@@ -2,7 +2,7 @@
 //!
 //! The ZipLine paper's Figure 3 compares Generalized Deduplication against
 //! the gzip tool offline. With the `CompressionBackend` abstraction the
-//! comparison runs *live*: the same generic [`EngineStream`] drives the
+//! comparison runs *live*: the same generic [`PipelinedStream`] drives the
 //! paper's sensor and campus-DNS workloads through
 //!
 //! * [`GdBackend`] — the sharded GD engine (8 shards, 4 workers),
@@ -21,14 +21,14 @@
 //! [`GdBackend`]: zipline_repro::zipline_engine::GdBackend
 //! [`DeflateBackend`]: zipline_repro::zipline_engine::DeflateBackend
 //! [`PassthroughBackend`]: zipline_repro::zipline_engine::PassthroughBackend
-//! [`EngineStream`]: zipline_repro::zipline_engine::EngineStream
+//! [`PipelinedStream`]: zipline_repro::zipline_engine::PipelinedStream
 //! [`EngineDecompressor`]: zipline_repro::zipline_engine::EngineDecompressor
 
 use std::time::Instant;
 
 use zipline_repro::zipline_engine::{
     CompressionBackend, CompressionEngine, DeflateBackend, EngineBuilder, EngineDecompressor,
-    PassthroughBackend,
+    PassthroughBackend, PipelinedStream,
 };
 use zipline_repro::zipline_gd::packet::PacketType;
 use zipline_repro::zipline_traces::{
@@ -58,22 +58,21 @@ impl Row {
 /// Streams `workload` through `engine`, verifies the byte-exact round trip
 /// against the mirrored decompressor, and returns the row. One generic
 /// function covers every backend — that is the point of the trait.
-fn run_backend<B: CompressionBackend>(
+fn run_backend<B: CompressionBackend + Send + 'static>(
     name: &'static str,
-    mut engine: CompressionEngine<B>,
+    engine: CompressionEngine<B>,
     mut decoder: EngineDecompressor<B>,
     batch_units: usize,
     workload: &dyn ChunkWorkload,
 ) -> Row {
     let mut wire: Vec<(PacketType, Vec<u8>)> = Vec::new();
     let start = Instant::now();
-    let mut stream = zipline_repro::zipline_engine::EngineStream::new(
-        &mut engine,
-        batch_units,
-        |packet_type, bytes: &[u8]| wire.push((packet_type, bytes.to_vec())),
-    );
+    let mut stream = PipelinedStream::new(engine, batch_units, |packet_type, bytes: &[u8]| {
+        wire.push((packet_type, bytes.to_vec()))
+    })
+    .expect("valid stream");
     stream.consume_workload(workload).expect("workload streams");
-    let summary = stream.finish().expect("stream flushes");
+    let (_, summary) = stream.finish().expect("stream flushes");
     let micros = start.elapsed().as_micros();
 
     let mut restored = Vec::new();

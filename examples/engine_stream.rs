@@ -6,13 +6,14 @@
 //!
 //! 1. build a [`CompressionEngine`] — a sharded dictionary plus a fixed
 //!    worker pool — from the paper's GD parameters;
-//! 2. stream an IoT sensor workload through [`EngineStream`]: records go
-//!    in, wire-ready ZipLine payloads (types 1/2/3) come out through one
-//!    reused scratch buffer;
+//! 2. stream an IoT sensor workload through a [`PipelinedStream`]: records
+//!    go in, wire-ready ZipLine payloads (types 1/2/3) come out batch by
+//!    batch, and the stream hands the engine back when it finishes;
 //! 3. mirror the stream through an [`EngineDecompressor`] and check the
 //!    byte-exact round trip;
 //! 4. inspect the per-shard dictionary statistics and the merged
-//!    [`DictionarySnapshot`] a controller would ship to a decoder switch.
+//!    [`DictionarySnapshot`] of the live mappings (what a warm restart
+//!    re-announces to a decoder).
 //!
 //! Run with:
 //! ```sh
@@ -20,11 +21,11 @@
 //! ```
 //!
 //! [`CompressionEngine`]: zipline_repro::zipline_engine::CompressionEngine
-//! [`EngineStream`]: zipline_repro::zipline_engine::EngineStream
+//! [`PipelinedStream`]: zipline_repro::zipline_engine::PipelinedStream
 //! [`EngineDecompressor`]: zipline_repro::zipline_engine::EngineDecompressor
 //! [`DictionarySnapshot`]: zipline_repro::zipline_engine::DictionarySnapshot
 
-use zipline_repro::zipline_engine::{EngineBuilder, EngineStream, SpawnPolicy};
+use zipline_repro::zipline_engine::{EngineBuilder, PipelinedStream, SpawnPolicy};
 use zipline_repro::zipline_gd::packet::PacketType;
 use zipline_repro::zipline_traces::sensor::{SensorWorkload, SensorWorkloadConfig};
 use zipline_repro::zipline_traces::ChunkWorkload;
@@ -41,7 +42,7 @@ fn main() {
         .workers(4)
         .spawn(SpawnPolicy::Auto);
     let mut decoder = builder.build_decompressor().expect("valid decoder config");
-    let mut engine = builder.build().expect("valid engine config");
+    let engine = builder.build().expect("valid engine config");
     let config = *engine.config();
     println!(
         "engine: Hamming({}, {}), {} shards x {} ids/shard, {} workers",
@@ -63,13 +64,14 @@ fn main() {
         ..SensorWorkloadConfig::paper_scale()
     });
     let mut wire: Vec<(PacketType, Vec<u8>)> = Vec::new();
-    let mut stream = EngineStream::new(&mut engine, 256, |packet_type, bytes| {
+    let mut stream = PipelinedStream::new(engine, 256, |packet_type, bytes: &[u8]| {
         wire.push((packet_type, bytes.to_vec()));
-    });
+    })
+    .expect("valid stream");
     stream
         .consume_workload(&workload)
         .expect("workload streams");
-    let summary = stream.finish().expect("stream flushes");
+    let (engine, summary) = stream.finish().expect("stream flushes");
 
     let by_type = |t: PacketType| wire.iter().filter(|(pt, _)| *pt == t).count();
     println!(
@@ -101,7 +103,7 @@ fn main() {
     println!("round trip: {} B restored byte-exactly", restored.len());
 
     // ------------------------------------------------------------------
-    // 4. Shard statistics and the controller-facing snapshot.
+    // 4. Shard statistics and the snapshot of the live mappings.
     // ------------------------------------------------------------------
     let stats = engine.stats();
     println!(

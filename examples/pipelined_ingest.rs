@@ -1,21 +1,21 @@
 //! # Pipelined async ingest: overlapping record production with compression
 //!
-//! `EngineStream` is synchronous — ingest stalls while a batch compresses.
-//! [`PipelinedStream`] overlaps the two through a bounded, backpressured
-//! channel feeding a dedicated engine worker thread (std `mpsc` only, no
-//! async runtime), with batch buffers double-buffered and recycled. This
-//! example walks the whole surface:
+//! On an engine without a pipeline depth, [`PipelinedStream`] compresses
+//! each batch on the calling thread — ingest stalls while a batch
+//! compresses. Opted in, it overlaps the two through a bounded,
+//! backpressured channel feeding a dedicated engine worker thread (std
+//! `mpsc` only, no async runtime), with batch buffers double-buffered and
+//! recycled. This example walks the whole surface:
 //!
 //! 1. build an engine opted in to pipelining via
 //!    [`EngineBuilder::pipelined`];
-//! 2. stream a sensor workload through [`PipelinedStream`] and through the
-//!    synchronous [`EngineStream`], and verify the wire output is
-//!    **bit-identical** — the pipeline is a latency/throughput knob, never
-//!    a format change;
+//! 2. stream a sensor workload through it and through an engine without
+//!    the opt-in, and verify the wire output is **bit-identical** — the
+//!    pipeline is a latency/throughput knob, never a format change;
 //! 3. do the same through the host path
-//!    ([`EngineHostPath::compress_workload_to_frames_pipelined`]), where
-//!    live-sync control frames stay interleaved in the exact positions the
-//!    decoder needs;
+//!    ([`EngineHostPath::compress_workload_to_frames`] with and without
+//!    [`HostPathConfig::pipeline_depth`]), where decoder-sync control
+//!    frames stay interleaved in the exact positions the decoder needs;
 //! 4. time both paths (on a single-core host the pipelined stream degrades
 //!    to inline execution and the two are expected to tie — the overlap
 //!    pays on multi-core hosts).
@@ -26,14 +26,14 @@
 //! ```
 //!
 //! [`PipelinedStream`]: zipline_repro::zipline_engine::PipelinedStream
-//! [`EngineStream`]: zipline_repro::zipline_engine::EngineStream
 //! [`EngineBuilder::pipelined`]: zipline_repro::zipline_engine::EngineBuilder::pipelined
-//! [`EngineHostPath::compress_workload_to_frames_pipelined`]: zipline_repro::zipline::host::EngineHostPath::compress_workload_to_frames_pipelined
+//! [`EngineHostPath::compress_workload_to_frames`]: zipline_repro::zipline::host::EngineHostPath::compress_workload_to_frames
+//! [`HostPathConfig::pipeline_depth`]: zipline_repro::zipline::host::HostPathConfig::pipeline_depth
 
 use std::time::Instant;
 
 use zipline_repro::zipline::host::{EngineHostPath, HostPathConfig};
-use zipline_repro::zipline_engine::{EngineBuilder, EngineStream, PipelinedStream, SpawnPolicy};
+use zipline_repro::zipline_engine::{EngineBuilder, PipelinedStream, SpawnPolicy};
 use zipline_repro::zipline_traces::sensor::{SensorWorkload, SensorWorkloadConfig};
 
 fn main() {
@@ -54,19 +54,20 @@ fn main() {
     });
 
     // ------------------------------------------------------------------
-    // 2. Bit-identity: the pipelined stream emits exactly the synchronous
-    //    stream's payload sequence.
+    // 2. Bit-identity: the pipelined stream emits exactly the payload
+    //    sequence of the stream on the calling thread.
     // ------------------------------------------------------------------
-    let mut sync_engine = builder().build().expect("valid engine config");
+    let sync_engine = builder().build().expect("valid engine config");
     let mut sync_wire: Vec<u8> = Vec::new();
     let sync_started = Instant::now();
-    let mut sync_stream = EngineStream::new(&mut sync_engine, 256, |_, bytes| {
+    let mut sync_stream = PipelinedStream::new(sync_engine, 256, |_, bytes: &[u8]| {
         sync_wire.extend_from_slice(bytes);
-    });
+    })
+    .expect("valid stream");
     sync_stream
         .consume_workload(&workload)
         .expect("stream accepts the workload");
-    let sync_summary = sync_stream.finish().expect("stream finishes");
+    let (_, sync_summary) = sync_stream.finish().expect("stream finishes");
     let sync_elapsed = sync_started.elapsed();
 
     let piped_engine = builder().pipelined(2).build().expect("valid engine config");
@@ -100,8 +101,8 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. The host path: same opt-in, now with Ethernet framing and live
-    //    decoder sync interleaved. Frame sequences must also match.
+    // 3. The host path: same opt-in, now with Ethernet framing and decoder
+    //    sync interleaved. Frame sequences must also match.
     // ------------------------------------------------------------------
     let mut sync_host =
         EngineHostPath::new(HostPathConfig::paper_default()).expect("valid host config");
@@ -110,11 +111,11 @@ fn main() {
         .expect("host path compresses");
     let mut piped_host = EngineHostPath::new(HostPathConfig::pipelined(2)).expect("valid config");
     let (piped_frames, summary) = piped_host
-        .compress_workload_to_frames_pipelined(&workload)
+        .compress_workload_to_frames(&workload)
         .expect("pipelined host path compresses");
     assert_eq!(piped_frames, sync_frames, "frame sequences are identical");
     println!(
-        "host path: {} frames ({} live-sync control updates) -- pipelined == synchronous",
+        "host path: {} frames ({} control updates) -- pipelined == synchronous",
         piped_frames.len(),
         summary.control_updates,
     );

@@ -271,8 +271,9 @@ mod recovery_injection {
     use std::path::{Path, PathBuf};
 
     use zipline_repro::zipline_engine::{
-        Batch, CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStore,
-        EngineStream, GdBackend, ShardedDictionary, SpawnPolicy, WarmStart,
+        Batch, BatchEvent, CommittedEntry, CompressionBackend, CompressionEngine, DictionaryUpdate,
+        EngineBuilder, EngineStore, GdBackend, PipelinedStream, ShardedDictionary, SpawnPolicy,
+        WarmStart,
     };
     use zipline_repro::zipline_gd::config::GdConfig;
     use zipline_repro::zipline_gd::packet::PacketType;
@@ -297,7 +298,6 @@ mod recovery_injection {
             .shards(2)
             .workers(1)
             .spawn(SpawnPolicy::Inline)
-            .live_sync(true)
             .durable(dir.to_path_buf())
             .checkpoint_cadence(cadence)
     }
@@ -308,23 +308,45 @@ mod recovery_injection {
         ChurnWorkload::new(ChurnWorkloadConfig::exceeding_capacity(16, 2, 32)).bytes()
     }
 
-    /// Seeds `dir` by running a durable stream over `data` and killing it
-    /// without `finish` — both logs keep their full journals, no
-    /// compaction. Returns the wire events the doomed stream emitted.
+    /// Seeds `dir` by committing every whole 8-chunk batch of `data` by
+    /// hand, with a checkpoint whenever the cadence is due, and killing the
+    /// writer without compaction — both logs keep their full journals.
+    /// Returns the wire events the doomed writer committed.
     fn seed_store(dir: &Path, cadence: u64, data: &[u8]) -> Vec<CommittedEntry> {
         let mut engine: CompressionEngine<GdBackend> = builder(dir, cadence).build().unwrap();
-        let events = run_stream(&mut engine, data, false);
-        drop(engine);
+        let mut store = engine.take_store().expect("durable engine");
+        let mut events = Vec::new();
+        let mut staged = Batch::default();
+        for input in data.chunks_exact(8 * 32) {
+            let compressed = engine.compress_batch(input).unwrap();
+            staged.clear();
+            engine
+                .backend_mut()
+                .emit_batch(compressed, &mut |pt, bytes| staged.push_payload(pt, bytes))
+                .unwrap();
+            staged.place_updates(engine.take_delta().updates);
+            let state = store
+                .checkpoint_due()
+                .then(|| engine.backend().export_dictionary_state())
+                .flatten();
+            store
+                .commit_batch(&staged, state.as_ref(), input.len() as u64)
+                .unwrap();
+            events.extend(staged.events().map(|event| match event {
+                BatchEvent::Update(update) => CommittedEntry::Control(update.clone()),
+                BatchEvent::Payload(packet_type, bytes) => CommittedEntry::Frame {
+                    packet_type,
+                    codec: None,
+                    bytes: bytes.to_vec(),
+                },
+            }));
+        }
         events
     }
 
-    /// Feeds `data` through an 8-chunk-batch stream collecting the sinks'
-    /// events in [`CommittedEntry`] shape; `finish` completes or kills it.
-    fn run_stream(
-        engine: &mut CompressionEngine<GdBackend>,
-        data: &[u8],
-        finish: bool,
-    ) -> Vec<CommittedEntry> {
+    /// Feeds `data` through an 8-chunk-batch stream to completion,
+    /// collecting the sinks' events in [`CommittedEntry`] shape.
+    fn run_stream(engine: CompressionEngine<GdBackend>, data: &[u8]) -> Vec<CommittedEntry> {
         let events: RefCell<Vec<CommittedEntry>> = RefCell::new(Vec::new());
         let sink = |pt: PacketType, bytes: &[u8]| {
             events.borrow_mut().push(CommittedEntry::Frame {
@@ -338,13 +360,9 @@ mod recovery_injection {
                 .borrow_mut()
                 .push(CommittedEntry::Control(update.clone()));
         });
-        let mut stream = EngineStream::with_control_sink(engine, 8, sink, control_sink);
+        let mut stream = PipelinedStream::with_control_sink(engine, 8, sink, control_sink).unwrap();
         stream.push_record(data).unwrap();
-        if finish {
-            stream.finish().unwrap();
-        } else {
-            drop(stream);
-        }
+        stream.finish().unwrap();
         events.into_inner()
     }
 
@@ -527,15 +545,14 @@ mod recovery_injection {
         let cut = 6 * batch_bytes; // kill after 6 whole batches
         assert!(cut < data.len());
 
-        let mut plain: CompressionEngine<GdBackend> = EngineBuilder::new()
+        let plain: CompressionEngine<GdBackend> = EngineBuilder::new()
             .gd(GdConfig::for_parameters(8, 4).unwrap())
             .shards(2)
             .workers(1)
             .spawn(SpawnPolicy::Inline)
-            .live_sync(true)
             .build()
             .unwrap();
-        let reference = run_stream(&mut plain, &data, true);
+        let reference = run_stream(plain, &data);
 
         // Checkpoints every 4 batches: the kill point sits past the last
         // checkpoint, so recovery *must* fold deltas (not bit-exact
@@ -552,7 +569,7 @@ mod recovery_injection {
         );
         assert_eq!(warm.committed, emitted);
         let mut rejoined = warm.committed;
-        rejoined.extend(run_stream(&mut engine, &data[cut..], true));
+        rejoined.extend(run_stream(engine, &data[cut..]));
         assert_eq!(
             rejoined, reference,
             "folded recovery must resume bit-identically"

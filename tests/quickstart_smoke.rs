@@ -7,7 +7,7 @@
 
 use zipline_repro::zipline::deployment::{DeploymentConfig, ZipLineDeployment};
 use zipline_repro::zipline_engine::{
-    DeflateBackend, EngineBuilder, EngineStream, PassthroughBackend, SpawnPolicy,
+    DeflateBackend, EngineBuilder, PassthroughBackend, PipelinedStream, SpawnPolicy,
 };
 use zipline_repro::zipline_gd::codec::{compress, decompress};
 use zipline_repro::zipline_gd::GdConfig;
@@ -58,17 +58,18 @@ fn engine_stream_flow_compresses_and_round_trips() {
         .workers(4)
         .spawn(SpawnPolicy::Threads); // exercise the threaded path in CI
     let mut decoder = builder.build_decompressor().expect("valid decoder config");
-    let mut engine = builder.build().expect("valid engine config");
+    let engine = builder.build().expect("valid engine config");
     let data = sensor_style_data(300);
 
     let mut wire = Vec::new();
-    let mut stream = EngineStream::new(&mut engine, 64, |packet_type, bytes| {
+    let mut stream = PipelinedStream::new(engine, 64, |packet_type, bytes: &[u8]| {
         wire.push((packet_type, bytes.to_vec()));
-    });
+    })
+    .expect("valid stream");
     for chunk in data.chunks(32) {
         stream.push_record(chunk).expect("record streams");
     }
-    let summary = stream.finish().expect("stream flushes");
+    let (_, summary) = stream.finish().expect("stream flushes");
     assert_eq!(summary.bytes_in, data.len() as u64);
     assert!(
         summary.wire_bytes < data.len() as u64 / 2,
@@ -86,22 +87,23 @@ fn engine_stream_flow_compresses_and_round_trips() {
 
 #[test]
 fn pipelined_ingest_flow_matches_the_synchronous_stream() {
-    // The pipelined_ingest example flow at reduced scale: the asynchronous
-    // ingest stream (worker forced on to exercise the threaded path in CI)
-    // emits bit-identical wire output to the synchronous stream.
-    use zipline_repro::zipline_engine::PipelinedStream;
+    // The pipelined_ingest example flow at reduced scale: the stream with
+    // its engine worker (forced on to exercise the threaded path in CI)
+    // emits bit-identical wire output to the stream on the calling thread.
     let data = sensor_style_data(300);
 
-    let mut sync_engine = EngineBuilder::new()
+    let sync_engine = EngineBuilder::new()
         .shards(8)
         .workers(4)
         .spawn(SpawnPolicy::Threads)
         .build()
         .expect("valid engine config");
     let mut sync_wire = Vec::new();
-    let mut sync_stream = EngineStream::new(&mut sync_engine, 64, |packet_type, bytes| {
+    let mut sync_stream = PipelinedStream::new(sync_engine, 64, |packet_type, bytes: &[u8]| {
         sync_wire.push((packet_type, bytes.to_vec()));
-    });
+    })
+    .expect("valid stream");
+    assert!(!sync_stream.is_threaded(), "no pipeline depth, no worker");
     for chunk in data.chunks(32) {
         sync_stream.push_record(chunk).expect("record streams");
     }
@@ -132,23 +134,24 @@ fn pipelined_ingest_flow_matches_the_synchronous_stream() {
 #[test]
 fn backend_matrix_flow_compresses_and_round_trips() {
     // The engine_backends example flow at reduced scale: the same generic
-    // EngineStream drives GD, deflate and passthrough over one workload,
+    // PipelinedStream drives GD, deflate and passthrough over one workload,
     // each restoring byte-exactly through its mirrored decompressor, with
     // passthrough as the ratio floor.
     let data = sensor_style_data(200);
 
-    fn stream_through<B: zipline_repro::zipline_engine::CompressionBackend>(
-        mut engine: zipline_repro::zipline_engine::CompressionEngine<B>,
+    fn stream_through<B: zipline_repro::zipline_engine::CompressionBackend + Send + 'static>(
+        engine: zipline_repro::zipline_engine::CompressionEngine<B>,
         mut decoder: zipline_repro::zipline_engine::EngineDecompressor<B>,
         batch_units: usize,
         data: &[u8],
     ) -> u64 {
         let mut wire = Vec::new();
-        let mut stream = EngineStream::new(&mut engine, batch_units, |pt, bytes: &[u8]| {
+        let mut stream = PipelinedStream::new(engine, batch_units, |pt, bytes: &[u8]| {
             wire.push((pt, bytes.to_vec()));
-        });
+        })
+        .expect("valid stream");
         stream.push_record(data).expect("record streams");
-        let summary = stream.finish().expect("stream flushes");
+        let (_, summary) = stream.finish().expect("stream flushes");
         let mut restored = Vec::new();
         for (pt, bytes) in &wire {
             decoder
