@@ -17,11 +17,38 @@
 //! tenant 0's flow `(0, stream_id)`, [`ClientSession::send_data`] and
 //! [`ClientSession::end`] address it, and its records surface as the
 //! un-keyed [`ServerEvent`] variants.
+//!
+//! # When bytes leave
+//!
+//! Records are framed into one out-buffer, in call order, and the buffer
+//! reaches the socket in one write at four kinds of point:
+//!
+//! 1. **Size cap.** `DATA` that fills the buffer to 16 KiB is written; a
+//!    record that would take a write past that goes in the next one, and a
+//!    record larger than that goes out at once, whole.
+//! 2. **Control records and blocking calls.** Every control record (the
+//!    hellos, `OPEN`, `END_FLOW`, `END`) is written at once, behind any
+//!    buffered `DATA`. So is the buffer before every call that can block on
+//!    the server: [`ClientSession::next_event`] with nothing received,
+//!    [`ClientSession::drain_to_done`], the hello replies and
+//!    [`ClientSession::close`].
+//! 3. **Linger.** [`ClientSession::try_event`] with nothing to return
+//!    writes the buffer when the last write, or the last blocking wait,
+//!    returned at least 50 µs ago. A burst after a quiet spell leaves at the
+//!    first poll after it; a tight send/poll loop writes once per 50 µs.
+//! 4. **Explicit.** [`ClientSession::flush`], for a caller that neither
+//!    polls nor blocks.
+//!
+//! Dropping a session writes what is buffered, best-effort, before it shuts
+//! the socket. A write that fails inside a poll or a blocking wait is kept
+//! and returned by the next `send_*`, `flush` or `end`; the event side
+//! reports a dead connection as `None`, as it always did.
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::mpsc::{self, Receiver};
+use std::io::{self, Write};
+use std::sync::mpsc::{self, Receiver, RecvError, TryRecvError};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 use zipline_engine::{BatchEvent, CodecId, CodecRegistry, DictionaryUpdate, FlowKey};
 use zipline_gd::packet::PacketType;
@@ -32,6 +59,118 @@ use crate::wire::{
     ClientHello, DoneSummary, Record, RecordReader, ResumeSummary, ServerHello, WireCodec,
     WireError, UNNAMED_FLOW,
 };
+
+/// Buffered bytes that make a write. 16 KiB is what the server's
+/// `RecordReader` reads at a time, and it holds an 8 KiB burst of framed
+/// records whole (256 × 57 B at 32 B records, 8 × 1049 B at 1 KiB), so a
+/// burst leaves in one write at the first poll after it. Measured on the
+/// benchmark's three socket workloads (2-core loopback host, two runs
+/// each): at 8 KiB a 1 KiB-record burst splits, its tail waits for a later
+/// poll and `uds_mux_durable`'s `burst_p50_us` went 286/307 → 412/450 µs;
+/// 64 KiB gained nothing on `tcp_small_gd` beyond the run-to-run spread.
+const SEND_CAP: usize = 16 * 1024;
+
+/// How long an empty poll leaves buffered records alone after the last
+/// write or blocking wait returned: long against one buffered 32 B send
+/// (≈ 0.2 µs, so a tight send/poll loop writes a few hundred records at
+/// once), short against the 100 µs a paced sender sleeps between polls.
+/// 25 and 100 µs measured the same as 50 on all three socket workloads,
+/// within the run-to-run spread. With no linger at all — flushing only on
+/// a second empty poll with no send between — a paced burst waited out
+/// one more sleep, `burst_p50_us` +60 % on `uds_mux_durable`.
+const LINGER: Duration = Duration::from_micros(50);
+
+/// The send side's write discipline — one out-buffer and the instant the
+/// socket last went quiet — with the socket and the clock passed in, so the
+/// rules in the module docs are tested without either.
+struct Outbox {
+    buf: Vec<u8>,
+    /// When the last write or blocking wait **returned**. Counting from its
+    /// start instead would let the poll right after a long blocking write
+    /// send a lone record.
+    quiet_since: Instant,
+}
+
+impl Outbox {
+    fn new(now: Instant) -> Self {
+        Self {
+            buf: Vec::with_capacity(SEND_CAP),
+            quiet_since: now,
+        }
+    }
+
+    /// Frames one record into the buffer with `frame`, then writes what must
+    /// go: everything, for a control record (`urgent`); a full buffer,
+    /// otherwise. What is ahead of a record that would take the write past
+    /// [`SEND_CAP`] is written first, on its own.
+    fn push(
+        &mut self,
+        sink: &mut impl Write,
+        clock: impl Fn() -> Instant,
+        urgent: bool,
+        frame: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
+        let ahead = self.buf.len();
+        frame(&mut self.buf);
+        if ahead > 0 && self.buf.len() > SEND_CAP {
+            self.write(sink, &clock, ahead)?;
+        }
+        if urgent || self.buf.len() >= SEND_CAP {
+            self.flush(sink, &clock)?;
+        }
+        Ok(())
+    }
+
+    /// An empty poll: writes the buffer once the socket has been quiet for
+    /// [`LINGER`].
+    fn poll(&mut self, sink: &mut impl Write, clock: impl Fn() -> Instant) -> io::Result<()> {
+        if self.buf.is_empty() || clock().duration_since(self.quiet_since) < LINGER {
+            return Ok(());
+        }
+        self.flush(sink, &clock)
+    }
+
+    /// Writes the buffer, runs the blocking `wait`, and opens the linger
+    /// window when it returns.
+    fn wait<T>(
+        &mut self,
+        sink: &mut impl Write,
+        clock: impl Fn() -> Instant,
+        wait: impl FnOnce() -> T,
+    ) -> (io::Result<()>, T) {
+        let flushed = self.flush(sink, &clock);
+        let waited = wait();
+        self.quiet_since = clock();
+        (flushed, waited)
+    }
+
+    fn flush(&mut self, sink: &mut impl Write, clock: impl Fn() -> Instant) -> io::Result<()> {
+        match self.buf.len() {
+            0 => Ok(()),
+            len => self.write(sink, clock, len),
+        }
+    }
+
+    /// Writes the first `len` buffered bytes. A failed write takes the whole
+    /// buffer with it: the connection is gone.
+    fn write(
+        &mut self,
+        sink: &mut impl Write,
+        clock: impl Fn() -> Instant,
+        len: usize,
+    ) -> io::Result<()> {
+        let written = sink.write_all(&self.buf[..len]);
+        self.quiet_since = clock();
+        if let Err(e) = written {
+            self.buf.clear();
+            return Err(e);
+        }
+        self.buf.drain(..len);
+        // One oversized record must not pin its buffer for the session.
+        self.buf.shrink_to(2 * SEND_CAP);
+        Ok(())
+    }
+}
 
 /// The codec ids this client can decode: everything in the standard
 /// registry, advertised in the hello so the server can refuse a stream the
@@ -109,6 +248,10 @@ pub enum ServerEvent {
 pub struct ClientSession {
     conn: Conn,
     codec: WireCodec,
+    out: Outbox,
+    /// A write that failed where no error could be returned (a poll, a
+    /// blocking wait, `close`); the next `send_*`, `flush` or `end` returns it.
+    failed: Option<ServerError>,
     records: Receiver<Record>,
     /// Events of the record last taken off `records` that the consumer has
     /// not asked for yet (a batch expands to many).
@@ -145,6 +288,8 @@ impl ClientSession {
         Ok(Self {
             conn,
             codec: WireCodec::new(),
+            out: Outbox::new(Instant::now()),
+            failed: None,
             records: rx,
             pending: VecDeque::new(),
             reader: Some(reader),
@@ -152,20 +297,55 @@ impl ClientSession {
         })
     }
 
+    /// Frames one record into the out-buffer; a control record (`urgent`)
+    /// is written at once, with everything ahead of it.
+    fn push(
+        &mut self,
+        urgent: bool,
+        kind: &str,
+        frame: impl FnOnce(&mut WireCodec, &mut Vec<u8>),
+    ) -> ServerResult<()> {
+        self.take_failed()?;
+        let codec = &mut self.codec;
+        self.out
+            .push(&mut self.conn, Instant::now, urgent, |buf| {
+                frame(codec, buf)
+            })
+            .map_err(|e| ServerError::io(format!("sending {kind}"), e))
+    }
+
+    fn take_failed(&mut self) -> ServerResult<()> {
+        self.failed.take().map_or(Ok(()), Err)
+    }
+
+    /// Keeps a failed write for the next call that can return it.
+    fn keep(&mut self, written: io::Result<()>) {
+        if let Err(e) = written {
+            self.failed
+                .get_or_insert(ServerError::io("sending buffered records", e));
+        }
+    }
+
+    /// Blocks for the next server record, writing the out-buffer first.
+    fn recv(&mut self) -> Result<Record, RecvError> {
+        let records = &self.records;
+        let (written, record) = self
+            .out
+            .wait(&mut self.conn, Instant::now, || records.recv());
+        self.keep(written);
+        record
+    }
+
     fn send(&mut self, record: &Record) -> ServerResult<()> {
-        let frame = self.codec.encode(record);
-        self.conn
-            .write_all(&frame)
-            .map_err(|e| ServerError::io(format!("sending {}", record.kind_name()), e))?;
-        self.conn
-            .flush()
-            .map_err(|e| ServerError::io("flushing socket", e))
+        self.push(true, record.kind_name(), |codec, buf| {
+            codec.encode_into(record, buf)
+        })
     }
 
     /// Blocks for the server's answer to a request: its `ERROR` record and
     /// a disconnect both become errors.
     fn reply(&mut self) -> ServerResult<Record> {
-        match self.records.recv() {
+        match self.recv() {
             Ok(Record::Error(message)) => Err(ServerError::Remote(message)),
             Ok(record) => Ok(record),
             Err(_) => Err(ServerError::Disconnected),
@@ -222,12 +402,16 @@ impl ClientSession {
         self.send(&Record::Open { key, entries_held })
     }
 
-    /// Sends one input record for `key`'s flow.
+    /// Sends one input record for `key`'s flow. The record is buffered; it
+    /// reaches the socket at the next flush point (see the module docs): a
+    /// full buffer, a control record, a call that blocks, an empty
+    /// [`Self::try_event`] once the socket has been quiet for 50 µs, or
+    /// [`Self::flush`]. A write that failed since the last call is returned
+    /// here.
     pub fn send_flow_data(&mut self, key: FlowKey, bytes: &[u8]) -> ServerResult<()> {
-        let frame = self.codec.encode_flow_data(key, bytes);
-        self.conn
-            .write_all(&frame)
-            .map_err(|e| ServerError::io("sending DATA", e))
+        self.push(false, "DATA", |codec, buf| {
+            codec.encode_flow_data_into(key, bytes, buf)
+        })
     }
 
     /// Ends `key`'s flow cleanly; the server drains, commits and sends the
@@ -237,7 +421,8 @@ impl ClientSession {
     }
 
     /// Sends one input record for the classic stream (before any classic
-    /// hello named one: for the unnamed flow `(0, 0)`).
+    /// hello named one: for the unnamed flow `(0, 0)`). Buffered like
+    /// [`Self::send_flow_data`].
     pub fn send_data(&mut self, bytes: &[u8]) -> ServerResult<()> {
         self.send_flow_data(self.classic.unwrap_or(UNNAMED_FLOW), bytes)
     }
@@ -249,6 +434,16 @@ impl ClientSession {
             self.end_flow(key)?;
         }
         self.send(&Record::End)
+    }
+
+    /// Writes every buffered record to the socket now, for a caller that
+    /// neither polls nor blocks. Returns a write that failed earlier in a
+    /// poll or a blocking wait, if one did.
+    pub fn flush(&mut self) -> ServerResult<()> {
+        self.take_failed()?;
+        self.out
+            .flush(&mut self.conn, Instant::now)
+            .map_err(|e| ServerError::io("sending buffered records", e))
     }
 
     /// Queues one server record as the events the consumer sees: a batch
@@ -300,25 +495,40 @@ impl ClientSession {
     }
 
     /// Blocks for the next server event; `None` means the connection closed
-    /// (only complete records were delivered).
+    /// (only complete records were delivered). When nothing has been
+    /// received yet, buffered records are written before it blocks.
     pub fn next_event(&mut self) -> Option<ServerEvent> {
         loop {
             if let Some(event) = self.pending.pop_front() {
                 return Some(event);
             }
-            let record = self.records.recv().ok()?;
+            let record = match self.records.try_recv() {
+                Ok(record) => record,
+                Err(TryRecvError::Empty) => self.recv().ok()?,
+                Err(TryRecvError::Disconnected) => return None,
+            };
             self.expand(record);
         }
     }
 
-    /// Non-blocking poll for a server event.
+    /// Non-blocking poll for a server event. With nothing to return, it
+    /// writes the buffered records once the last write, or the last
+    /// blocking wait, returned at least 50 µs ago — so a burst of sends
+    /// leaves at the first poll after a quiet spell, and a tight send/poll
+    /// loop makes one write per 50 µs.
     pub fn try_event(&mut self) -> Option<ServerEvent> {
         loop {
             if let Some(event) = self.pending.pop_front() {
                 return Some(event);
             }
-            let record = self.records.try_recv().ok()?;
-            self.expand(record);
+            match self.records.try_recv() {
+                Ok(record) => self.expand(record),
+                Err(_) => {
+                    let written = self.out.poll(&mut self.conn, Instant::now);
+                    self.keep(written);
+                    return None;
+                }
+            }
         }
     }
 
@@ -340,9 +550,11 @@ impl ClientSession {
         }
     }
 
-    /// Closes the write half and drains the reader to connection close,
-    /// returning every event received after the last one consumed.
+    /// Writes what is buffered, closes the write half and drains the reader
+    /// to connection close, returning every event received after the last
+    /// one consumed.
     pub fn close(mut self) -> Vec<ServerEvent> {
+        drop(self.out.flush(&mut self.conn, Instant::now));
         self.conn.shutdown(std::net::Shutdown::Write);
         let mut tail = Vec::new();
         while let Some(event) = self.next_event() {
@@ -357,9 +569,272 @@ impl ClientSession {
 
 impl Drop for ClientSession {
     fn drop(&mut self) {
+        drop(self.out.flush(&mut self.conn, Instant::now));
         self.conn.shutdown(std::net::Shutdown::Both);
         if let Some(handle) = self.reader.take() {
             drop(handle.join());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::{Cell, RefCell};
+
+    use super::*;
+
+    const KEY: FlowKey = FlowKey { tenant: 0, flow: 7 };
+
+    /// A fake clock and a socket that logs every write; a write takes
+    /// `write_takes` of fake time, like a blocking one on a full socket.
+    struct Net {
+        codec: WireCodec,
+        now: Cell<Instant>,
+        write_takes: Cell<Duration>,
+        /// Each write: when it started, and its bytes.
+        writes: RefCell<Vec<(Instant, Vec<u8>)>>,
+    }
+
+    impl Net {
+        fn new() -> Self {
+            Self {
+                codec: WireCodec::new(),
+                now: Cell::new(Instant::now()),
+                write_takes: Cell::new(Duration::ZERO),
+                writes: RefCell::new(Vec::new()),
+            }
+        }
+
+        fn clock(&self) -> impl Fn() -> Instant + '_ {
+            || self.now.get()
+        }
+
+        fn advance(&self, by: Duration) {
+            self.now.set(self.now.get() + by);
+        }
+
+        fn writes(&self) -> usize {
+            self.writes.borrow().len()
+        }
+
+        /// Every record written so far, in order.
+        fn records(&self) -> Vec<Record> {
+            let bytes: Vec<u8> = self
+                .writes
+                .borrow()
+                .iter()
+                .flat_map(|(_, w)| w.clone())
+                .collect();
+            let mut at = 0;
+            let mut records = Vec::new();
+            while let Some((record, used)) = self.codec.decode(&bytes[at..]).expect("valid records")
+            {
+                records.push(record);
+                at += used;
+            }
+            assert_eq!(at, bytes.len(), "writes end on a record boundary");
+            records
+        }
+    }
+
+    impl Write for &Net {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes
+                .borrow_mut()
+                .push((self.now.get(), buf.to_vec()));
+            self.advance(self.write_takes.get());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn data(out: &mut Outbox, net: &Net, bytes: &[u8]) {
+        out.push(&mut &*net, net.clock(), false, |buf| {
+            net.codec.encode_flow_data_into(KEY, bytes, buf)
+        })
+        .expect("fake socket accepts");
+    }
+
+    fn control(out: &mut Outbox, net: &Net, record: &Record) {
+        let mut codec = WireCodec::new();
+        out.push(&mut &*net, net.clock(), true, |buf| {
+            codec.encode_into(record, buf)
+        })
+        .expect("fake socket accepts");
+    }
+
+    fn poll(out: &mut Outbox, net: &Net) {
+        out.poll(&mut &*net, net.clock())
+            .expect("fake socket accepts");
+    }
+
+    fn data_record(bytes: &[u8]) -> Record {
+        Record::Data {
+            key: KEY,
+            bytes: bytes.to_vec(),
+        }
+    }
+
+    #[test]
+    fn a_burst_after_a_quiet_spell_leaves_at_the_first_empty_poll() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        net.advance(Duration::from_millis(2));
+        for i in 0..256u32 {
+            data(&mut out, &net, &[i as u8; 32]);
+        }
+        assert_eq!(net.writes(), 0, "an engine batch of 32 B records fits");
+        poll(&mut out, &net);
+        assert_eq!(net.writes(), 1, "the first empty poll writes the burst");
+        let expected: Vec<Record> = (0..256u32).map(|i| data_record(&[i as u8; 32])).collect();
+        assert_eq!(net.records(), expected);
+    }
+
+    #[test]
+    fn a_send_poll_loop_writes_once_per_linger() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        for i in 0..5_000u32 {
+            data(&mut out, &net, &i.to_le_bytes().repeat(8));
+            net.advance(Duration::from_micros(1));
+            poll(&mut out, &net);
+        }
+        let writes = net.writes.borrow();
+        assert!(writes.len() >= 5_000 / 60, "{} writes", writes.len());
+        for pair in writes.windows(2) {
+            assert!(
+                pair[1].0 - pair[0].0 >= LINGER,
+                "two writes inside one linger"
+            );
+        }
+        assert!(writes.iter().all(|(_, w)| w.len() <= SEND_CAP));
+    }
+
+    #[test]
+    fn a_send_loop_without_polls_never_writes_past_the_cap() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        let records: Vec<Vec<u8>> = (0..3_000u32)
+            .map(|i| vec![i as u8; 20 + (i as usize * 7) % 300])
+            .collect();
+        for bytes in &records {
+            data(&mut out, &net, bytes);
+        }
+        out.flush(&mut &net, net.clock())
+            .expect("fake socket accepts");
+        {
+            let writes = net.writes.borrow();
+            assert!(writes.len() > 10, "{} writes", writes.len());
+            assert!(writes.iter().all(|(_, w)| w.len() <= SEND_CAP));
+            // Every write but the last was full to within one record.
+            let short = writes[..writes.len() - 1]
+                .iter()
+                .filter(|(_, w)| w.len() + 400 < SEND_CAP)
+                .count();
+            assert_eq!(short, 0);
+        }
+        let expected: Vec<Record> = records.iter().map(|b| data_record(b)).collect();
+        assert_eq!(net.records(), expected);
+    }
+
+    #[test]
+    fn a_blocking_wait_writes_first_and_opens_the_window_when_it_returns() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        data(&mut out, &net, b"before the wait");
+        let (written, ()) = out.wait(&mut &net, net.clock(), || {
+            assert_eq!(net.writes(), 1, "written before blocking");
+            net.advance(Duration::from_millis(3));
+        });
+        written.expect("fake socket accepts");
+
+        data(&mut out, &net, b"just after");
+        net.advance(LINGER / 2);
+        poll(&mut out, &net);
+        assert_eq!(net.writes(), 1, "the window opened when the wait returned");
+        net.advance(LINGER);
+        poll(&mut out, &net);
+        assert_eq!(net.writes(), 2);
+    }
+
+    #[test]
+    fn a_control_record_writes_the_data_ahead_of_it_in_order() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        data(&mut out, &net, b"first");
+        data(&mut out, &net, b"second");
+        assert_eq!(net.writes(), 0);
+        control(&mut out, &net, &Record::EndFlow { key: KEY });
+        assert_eq!(net.writes(), 1, "one write, control record included");
+        assert_eq!(
+            net.records(),
+            vec![
+                data_record(b"first"),
+                data_record(b"second"),
+                Record::EndFlow { key: KEY }
+            ]
+        );
+        assert!(out.buf.is_empty());
+    }
+
+    #[test]
+    fn a_record_larger_than_the_cap_is_written_whole() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        let large = vec![0x5A; 3 * SEND_CAP];
+        data(&mut out, &net, b"ahead");
+        data(&mut out, &net, &large);
+        let writes: Vec<usize> = net.writes.borrow().iter().map(|(_, w)| w.len()).collect();
+        assert_eq!(writes.len(), 2, "what was ahead, then the record alone");
+        assert!(writes[1] > large.len(), "the record in one write");
+        assert_eq!(
+            net.records(),
+            vec![data_record(b"ahead"), data_record(&large)]
+        );
+        assert!(out.buf.is_empty());
+        assert!(
+            out.buf.capacity() <= 2 * SEND_CAP,
+            "the buffer shrinks back"
+        );
+    }
+
+    #[test]
+    fn the_linger_window_opens_when_a_write_returns_not_when_it_starts() {
+        let net = Net::new();
+        let mut out = Outbox::new(net.now.get());
+        net.write_takes.set(Duration::from_millis(2));
+        while net.writes() == 0 {
+            data(&mut out, &net, &[1; 1024]);
+        }
+        // The cap write blocked for 2 ms; a lone record right after it
+        // waits out a full linger from the write's return.
+        data(&mut out, &net, &[2; 1024]);
+        net.advance(LINGER / 5);
+        poll(&mut out, &net);
+        assert_eq!(net.writes(), 1, "a lone record lingers after a long write");
+        net.advance(LINGER);
+        poll(&mut out, &net);
+        assert_eq!(net.writes(), 2);
+    }
+
+    #[test]
+    fn a_failed_write_drops_the_buffer_and_is_returned() {
+        struct Dead;
+        impl Write for Dead {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Outbox::new(Instant::now());
+        out.buf.extend_from_slice(b"buffered");
+        let failed = out.flush(&mut Dead, Instant::now).expect_err("write fails");
+        assert_eq!(failed.kind(), io::ErrorKind::BrokenPipe);
+        assert!(out.buf.is_empty());
     }
 }

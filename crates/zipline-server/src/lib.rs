@@ -63,6 +63,14 @@
 //! are spelled out in [`server`]'s module docs, shutdown semantics
 //! included.
 //!
+//! A [`ClientSession`] writes on its caller's thread and reads on one
+//! thread of its own. Its sends fill one out-buffer that reaches the socket
+//! in one write per burst, not one per record: when it is full, with every
+//! control record, before any call that blocks on the server, on an empty
+//! poll once the socket has been quiet for 50 µs, and on
+//! [`ClientSession::flush`] — the rules are in [`client`]'s module docs. Its
+//! reader thread parses server records into a queue the caller drains.
+//!
 //! # Load harness
 //!
 //! [`load`] drives N concurrent closed-loop connections from any

@@ -443,12 +443,13 @@ impl WireCodec {
         self.keyed(out, KIND_PAYLOAD, key, |body| batch.encode_into(body));
     }
 
-    fn encode_flow_data_into(&self, key: FlowKey, bytes: &[u8], out: &mut Vec<u8>) {
+    /// Appends a framed `Data` record for `key` straight from a borrowed byte
+    /// slice (the client's hot path: no per-record buffer).
+    pub fn encode_flow_data_into(&self, key: FlowKey, bytes: &[u8], out: &mut Vec<u8>) {
         self.keyed(out, KIND_DATA, key, |body| body.extend_from_slice(bytes));
     }
 
-    /// Frames a `Data` record for `key` straight from a borrowed byte slice
-    /// (the client's hot path).
+    /// Frames a `Data` record for `key` into a fresh buffer.
     pub fn encode_flow_data(&mut self, key: FlowKey, bytes: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(bytes.len() + 32);
         self.encode_flow_data_into(key, bytes, &mut out);

@@ -213,7 +213,9 @@ fn graceful_shutdown_finishes_in_flight_streams_with_done() {
         session.send_data(chunk).expect("data sent");
     }
     // No END: let the data land, then shut the server down around the
-    // still-open stream.
+    // still-open stream. The session buffers DATA until a flush point, and
+    // nothing below polls or blocks before the shutdown: write it out.
+    session.flush().expect("buffered records written");
     std::thread::sleep(std::time::Duration::from_millis(300));
     let report = handle.shutdown();
     assert!(report.errors.is_empty(), "{:?}", report.errors);
